@@ -9,10 +9,10 @@ of k bits or more has probability at most 2^-k.
 
 Two evaluation paths are provided.  ``run_battery`` is exact rational
 arithmetic over explicit multiplier processes.  ``run_battery_fast`` handles
-the common stationary/cyclic case with depth-periodic strategies: every
-betting factor depends only on depth modulo a small period, so the log2
-factors are precomputed in an exact table and the capital paths reduce to
-vectorized cumulative sums in floats.
+systems and selections with a ``period``: every betting factor then depends
+only on depth modulo a small period, so the log2 factors are precomputed in
+an exact table and the capital paths reduce to vectorized cumulative sums in
+floats.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from imprand.core import (
     log2_rational,
 )
 from imprand.forecasting import (
-    CyclicSystem,
     ForecastingSystem,
     Situation,
     StationarySystem,
+    joint_period,
 )
 from imprand.lowerexp import AnchorGammaModel, IntervalQ
 from imprand.martingale import (
@@ -201,16 +201,6 @@ def default_battery(
     return battery_for_gambles(gambles, epsilon_factors, selection_moduli)
 
 
-def _system_period(sys: ForecastingSystem) -> int:
-    if isinstance(sys, StationarySystem):
-        return 1
-    if isinstance(sys, CyclicSystem):
-        return sys.period
-    raise ModelInvariantError(
-        "fast battery evaluation needs a stationary or cyclic system"
-    )
-
-
 def _phase_tables(
     sys: ForecastingSystem, strategies: Sequence[LLNStrategyParams]
 ) -> Tuple[int, np.ndarray]:
@@ -219,39 +209,18 @@ def _phase_tables(
     The factors are computed exactly per phase and converted to float once;
     errors do not accumulate across steps beyond the cumulative sum itself.
     """
-    period = _system_period(sys)
-    L = period
-    for p in strategies:
-        m = p.selection.modulus if p.selection.kind == "residue" else 1
-        if p.selection.kind == "table":
-            raise ModelInvariantError(
-                "fast battery evaluation needs depth-based selections"
-            )
-        L = math.lcm(L, m)
-    K = sys.space.size
-    tables = np.zeros((len(strategies), L, K), dtype=np.float64)
-    models = [
-        sys.model if isinstance(sys, StationarySystem) else sys.models[t % sys.period]
-        for t in range(L)
-    ]
-    for i, params in enumerate(strategies):
-        if params.f.space != sys.space:
-            raise SpaceMismatchError(sys.space, params.f.space)
-        xi = params.xi
-        for t in range(L):
-            if not params.selection.selects_depth(t):
-                continue
-            model = models[t]
-            if params.direction == "lower":
-                delta = params.f - model.lower(params.f)
-            else:
-                delta = model.upper(params.f) - params.f
-            factor = Gamble.constant(sys.space, 1) - delta.scale(xi)
-            if factor.minimum() <= 0:
-                raise ModelInvariantError(
-                    f"betting factor not positive at phase {t}: min {factor.minimum()}"
-                )
-            tables[i, t, :] = [log2_rational(v) for v in factor.values]
+    processes = [lln_strategy(p, sys) for p in strategies]
+    L = joint_period(*(D.period for D in processes))
+    if L is None:
+        raise ModelInvariantError(
+            "fast battery evaluation needs a system and selections with a period"
+        )
+    # any path reaches each phase: the factors depend on the depth alone
+    phases = [Situation(sys.space, (0,) * t) for t in range(L)]
+    tables = np.empty((len(processes), L, sys.space.size), dtype=np.float64)
+    for i, D in enumerate(processes):
+        for t, s in enumerate(phases):
+            tables[i, t, :] = [log2_rational(v) for v in D.factor(s).values]
     return L, tables
 
 
@@ -271,9 +240,9 @@ def run_battery_fast(
 ) -> FastBatteryResult:
     """Vectorized battery evaluation for depth-periodic strategies.
 
-    Restricted to stationary/cyclic systems and depth-based selections.
-    Capital paths are computed in log2 floats; use :func:`run_battery` when
-    exactness is required.
+    Restricted to systems and selections with a ``period``.  Capital paths
+    are computed in log2 floats; use :func:`run_battery` when exactness is
+    required.
     """
     strategies = list(strategies)
     if not strategies:
@@ -302,14 +271,6 @@ def run_battery_fast(
     )
 
 
-def battery_processes(
-    strategies: Sequence[LLNStrategyParams], sys: ForecastingSystem
-) -> Tuple[MultiplierProcess, ...]:
-    """Instantiate strategy parameters as multiplier processes for a
-    system."""
-    return tuple(lln_strategy(p, sys) for p in strategies)
-
-
 @dataclass(frozen=True)
 class AverageReport:
     """Selected running averages of a gamble along a prefix."""
@@ -333,46 +294,37 @@ def check_running_average(
 
     ``average_above_lower`` is the mean of f(x) minus the lower forecast at
     the step; ``average_below_upper`` the mean of the upper forecast minus
-    f(x).  For stationary systems the margins to [E(f), upper(f)] are also
+    f(x).  For systems of period 1 the margins to [E(f), upper(f)] are also
     reported.  Zero selected steps yields an explicit empty result.
     """
     if f.space != prefix.space or sys.space != prefix.space:
         raise SpaceMismatchError(prefix.space, f.space if f.space != prefix.space else sys.space)
 
-    bounds_cache = {}
+    def step_bounds(n: int) -> Optional[Tuple[Fraction, Fraction]]:
+        s = prefix.situation(n)
+        if not S.selects(s):
+            return None
+        model = sys.forecast(s)
+        return model.lower(f), model.upper(f)
 
-    def forecast_bounds(n: int, s: Situation) -> Tuple[Fraction, Fraction]:
-        if isinstance(sys, StationarySystem):
-            key, model_fn = 0, lambda: sys.model
-        elif isinstance(sys, CyclicSystem):
-            key = n % sys.period
-            model_fn = lambda: sys.models[key]
-        else:
-            model = sys.forecast(s)
-            return model.lower(f), model.upper(f)
-        if key not in bounds_cache:
-            model = model_fn()
-            bounds_cache[key] = (model.lower(f), model.upper(f))
-        return bounds_cache[key]
-
+    # building the full situation at every step is quadratic in the prefix
+    # length; with a period, selection and bounds are computed once per phase
+    period = joint_period(sys.period, S.period)
+    phase_bounds = {}
     count = 0
     total = Fraction(0)
     total_above = Fraction(0)
     total_below = Fraction(0)
-    # building the full situation at every step is quadratic in the prefix
-    # length; skip it when selection and forecast depend only on the depth
-    depth_only = (S.kind != "table"
-                  and isinstance(sys, (StationarySystem, CyclicSystem)))
     for n in range(len(prefix)):
-        if depth_only:
-            if not S.selects_depth(n):
-                continue
-            s = None
+        if period is None:
+            bounds = step_bounds(n)
         else:
-            s = prefix.situation(n)
-            if not S.selects(s):
-                continue
-        lo, up = forecast_bounds(n, s)
+            if n < period:
+                phase_bounds[n] = step_bounds(n)
+            bounds = phase_bounds[n % period]
+        if bounds is None:
+            continue
+        lo, up = bounds
         value = f[prefix.symbols[n]]
         count += 1
         total += value
@@ -384,9 +336,10 @@ def check_running_average(
 
     average = total / count
     lower_margin = upper_margin = None
-    if isinstance(sys, StationarySystem):
-        lower_margin = average - sys.model.lower(f)
-        upper_margin = sys.model.upper(f) - average
+    if sys.period == 1:
+        model = sys.forecast(Situation.root(sys.space))
+        lower_margin = average - model.lower(f)
+        upper_margin = model.upper(f) - average
     return AverageReport(
         selected_count=count,
         average=average,

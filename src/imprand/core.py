@@ -225,13 +225,3 @@ def linear_expectation(p: ProbabilityMassFunction, f: Gamble) -> Fraction:
     return sum(
         (w * v for w, v in zip(p.weights, f.values)), start=Fraction(0)
     )
-
-
-def gamble_range(f: Gamble) -> Tuple[Fraction, Fraction]:
-    """(min f, max f), exact."""
-    return f.minimum(), f.maximum()
-
-
-def negate(f: Gamble) -> Gamble:
-    """Pointwise negation; an involution."""
-    return -f

@@ -6,12 +6,17 @@ expectation to every situation.  Four rule families are provided: stationary
 (one model everywhere), cyclic (model chosen by depth mod M), table-backed
 (explicit map with a default), and programmatic (an arbitrary pure function
 of the situation).
+
+A system's ``period`` is L when its forecast depends on the depth mod L
+alone, and None when it is not depth-periodic; :func:`joint_period` combines
+the periods of the objects a betting strategy is built from.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from imprand.core import ModelInvariantError, SampleSpace, SpaceMismatchError
 from imprand.lowerexp import LowerExpectation
@@ -67,10 +72,20 @@ def iter_situations(space: SampleSpace, depth: int) -> Iterator[Situation]:
         yield from level
 
 
+def joint_period(*periods: Optional[int]) -> Optional[int]:
+    """The period of an object built from depth-periodic parts: the lcm of
+    their periods, or None when any part is not depth-periodic."""
+    if None in periods:
+        return None
+    return math.lcm(*periods)
+
+
 class ForecastingSystem:
-    """Base class; subclasses implement :meth:`forecast`."""
+    """Base class; subclasses implement :meth:`forecast` and set
+    :attr:`period` when the forecast depends on the depth alone."""
 
     space: SampleSpace
+    period: Optional[int] = None
 
     def forecast(self, s: Situation) -> LowerExpectation:
         raise NotImplementedError
@@ -83,6 +98,7 @@ class ForecastingSystem:
 @dataclass(frozen=True)
 class StationarySystem(ForecastingSystem):
     model: LowerExpectation
+    period = 1
 
     @property
     def space(self) -> SampleSpace:
@@ -161,11 +177,6 @@ class ProgrammaticSystem(ForecastingSystem):
         if model.space != self.space:
             raise SpaceMismatchError(self.space, model.space)
         return model
-
-
-def forecast_at(sys: ForecastingSystem, s: Situation) -> LowerExpectation:
-    """The system's lower expectation at a situation."""
-    return sys.forecast(s)
 
 
 def pointwise_leq(a, b, depth, probes) -> bool:

@@ -32,7 +32,6 @@ from imprand.core import (
     SpaceMismatchError,
     as_rational,
     linear_expectation,
-    negate,
 )
 
 
@@ -63,7 +62,7 @@ class LowerExpectation:
 
     def upper(self, g: Gamble) -> Fraction:
         """Conjugate upper expectation: -lower(-g)."""
-        return -self.lower(negate(g))
+        return -self.lower(-g)
 
     def _require_space(self, g: Gamble) -> None:
         if g.space != self.space:
@@ -203,14 +202,8 @@ class AnchorIntervalModel(LowerExpectation):
     def lower(self, g: Gamble) -> Fraction:
         self._require_space(g)
         low_side = _anchored_floor_value(self.anchor, self.interval.lo, g)
-        high_side = _anchored_floor_value(negate(self.anchor), -self.interval.hi, g)
+        high_side = _anchored_floor_value(-self.anchor, -self.interval.hi, g)
         return max(low_side, high_side)
-
-
-def interval_model(interval: IntervalQ, anchor: Gamble) -> AnchorIntervalModel:
-    """Build the interval-pinning model; rejects intervals outside the
-    anchor's range."""
-    return AnchorIntervalModel(anchor=anchor, interval=interval)
 
 
 @dataclass(frozen=True)

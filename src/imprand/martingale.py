@@ -26,11 +26,10 @@ from imprand.core import (
     as_rational,
 )
 from imprand.forecasting import (
-    CyclicSystem,
     ForecastingSystem,
     Situation,
-    StationarySystem,
     iter_situations,
+    joint_period,
 )
 
 
@@ -64,17 +63,27 @@ class RationalProcess:
 
 class MultiplierProcess:
     """A map from situations to non-negative gambles (one-step betting
-    factors)."""
+    factors).
 
-    def __init__(self, space: SampleSpace, fn: Callable[[Situation], Gamble]):
+    With ``period`` set, the factor depends on the depth mod period alone
+    and is memoized per phase; otherwise it is memoized per path.
+    """
+
+    def __init__(
+        self,
+        space: SampleSpace,
+        fn: Callable[[Situation], Gamble],
+        period: Optional[int] = None,
+    ):
         self.space = space
+        self.period = period
         self._fn = fn
-        self._memo: Dict[Tuple[int, ...], Gamble] = {}
+        self._memo: Dict[object, Gamble] = {}
 
     def factor(self, s: Situation) -> Gamble:
         if s.space != self.space:
             raise SpaceMismatchError(self.space, s.space)
-        key = s.symbols
+        key = s.symbols if self.period is None else s.depth % self.period
         cached = self._memo.get(key)
         if cached is None:
             g = self._fn(s)
@@ -174,12 +183,22 @@ def from_multiplier(D: MultiplierProcess) -> RationalProcess:
     parent value times the parent's factor at the taken symbol."""
 
     process = RationalProcess(D.space, lambda s: Fraction(0))  # fn replaced below
+    memo = process._memo
 
     def eval_capital(s: Situation) -> Fraction:
-        if s.depth == 0:
-            return Fraction(1)
-        parent = Situation(s.space, s.symbols[:-1])
-        return process.value(parent) * D.factor(parent)[s.symbols[-1]]
+        # walk back to the deepest memoized ancestor, then forward along the
+        # path, memoizing every prefix: no recursion, and a sweep that visits
+        # parents first makes one factor call per situation
+        path = s.symbols
+        start = max(len(path) - 1, 0)
+        while start > 0 and path[:start] not in memo:
+            start -= 1
+        value = memo.get(path[:start], Fraction(1))
+        for n in range(start, len(path)):
+            prefix = path[:n]
+            memo[prefix] = value
+            value *= D.factor(Situation(s.space, prefix))[path[n]]
+        return value
 
     process._fn = eval_capital
     return process
@@ -191,7 +210,7 @@ class SelectionProcess:
 
     Kinds: "all" selects every step; "residue" selects steps whose depth is
     congruent to i mod m; "table" looks prefixes up in an explicit map with a
-    default.
+    default.  ``period`` is 1, m and None respectively.
     """
 
     kind: str
@@ -228,6 +247,14 @@ class SelectionProcess:
         rows = tuple((tuple(k), int(v)) for k, v in dict(table).items())
         return cls(kind="table", table=rows, default=default)
 
+    @property
+    def period(self) -> Optional[int]:
+        if self.kind == "all":
+            return 1
+        if self.kind == "residue":
+            return self.modulus
+        return None
+
     def selects(self, s: Situation) -> int:
         if self.kind == "all":
             return 1
@@ -237,14 +264,6 @@ class SelectionProcess:
             if key == s.symbols:
                 return v
         return self.default
-
-    def selects_depth(self, depth: int) -> Optional[int]:
-        """Selection value when it depends on depth alone, else None."""
-        if self.kind == "all":
-            return 1
-        if self.kind == "residue":
-            return 1 if depth % self.modulus == self.residue else 0
-        return None
 
 
 @dataclass(frozen=True)
@@ -310,27 +329,9 @@ def lln_strategy(params: LLNStrategyParams, sys: ForecastingSystem) -> Multiplie
             )
         return g
 
-    # when the forecast and the selection depend on the depth alone, the
-    # factor is periodic in depth; cache one gamble per phase instead of one
-    # per situation
-    if sel.kind != "table" and isinstance(sys, (StationarySystem, CyclicSystem)):
-        period = sys.period if isinstance(sys, CyclicSystem) else 1
-        if sel.kind == "residue":
-            period = math.lcm(period, sel.modulus)
-        phase_cache: Dict[int, Gamble] = {}
-
-        def factor(s: Situation) -> Gamble:
-            key = s.depth % period
-            cached = phase_cache.get(key)
-            if cached is None:
-                cached = compute(s)
-                phase_cache[key] = cached
-            return cached
-
-    else:
-        factor = compute
-
-    return MultiplierProcess(sys.space, factor)
+    # the factor depends on the depth alone when the forecast and the
+    # selection do, so it is memoized per phase instead of per path
+    return MultiplierProcess(sys.space, compute, joint_period(sys.period, sel.period))
 
 
 @dataclass(frozen=True)

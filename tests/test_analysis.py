@@ -12,9 +12,11 @@ from imprand import (
     LinearModel,
     CyclicSystem,
     ProbabilityMassFunction,
+    ProgrammaticSystem,
     SelectionProcess,
     SequencePrefix,
     StationarySystem,
+    TableSystem,
     VacuousModel,
     battery_for_gambles,
     check_running_average,
@@ -111,13 +113,20 @@ class TestFastPath:
         for n in (0, 1, 57, 200):
             assert abs(fast.mixture_log2[n] - log2_rational(exact.mixture[n])) < 1e-7
 
-    def test_rejects_table_selection(self, space3, anchor_sys):
+    @pytest.mark.parametrize("system, selection", [
+        (StationarySystem, SelectionProcess.from_table({}, default=1)),
+        (lambda m: TableSystem(table={}, default=m), SelectionProcess.all_ones()),
+        (lambda m: ProgrammaticSystem(m.space, lambda s: m), SelectionProcess.all_ones()),
+    ], ids=["table-selection", "table-system", "programmatic-system"])
+    def test_rejects_table_selection(self, space3, anchor_sys, system, selection):
+        # every strategy needs a period; table selections and table or
+        # programmatic systems have none
         params = LLNStrategyParams(
             f=Gamble.indicator(space3, "A"), direction="lower",
-            epsilon=Fraction(1, 8),
-            selection=SelectionProcess.from_table({}, default=1))
+            epsilon=Fraction(1, 8), selection=selection)
         with pytest.raises(ModelInvariantError):
-            run_battery_fast(SequencePrefix(space3, (0,)), anchor_sys, [params])
+            run_battery_fast(SequencePrefix(space3, (0,)), system(anchor_sys.model),
+                             [params])
 
 
 class TestDefaultBattery:
@@ -139,15 +148,29 @@ class TestDefaultBattery:
 
 
 class TestRunningAverage:
-    def test_degenerate_all_a(self, space3, vertices3):
+    @pytest.mark.parametrize("system", [StationarySystem, lambda m: CyclicSystem((m,))],
+                             ids=["stationary", "cyclic"])
+    def test_degenerate_all_a(self, space3, vertices3, system):
         p = ProbabilityMassFunction(
             space3, (Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)))
-        sys = StationarySystem(LinearModel(p))
+        sys = system(LinearModel(p))
         prefix = SequencePrefix(space3, (0,) * 10)
         f = Gamble.indicator(space3, "A")
         report = check_running_average(prefix, f, SelectionProcess.all_ones(), sys)
         assert report.average == 1
         assert report.lower_margin == Fraction(3, 4)  # 1 - p(A)
+
+    def test_table_system_forecasts_per_situation(self, space3, vertices3):
+        # E(1_A) is 1/2 after an A and 0 elsewhere
+        sys = TableSystem(table={(0,): LinearModel(vertices3[1])},
+                          default=LinearModel(vertices3[0]))
+        prefix = SequencePrefix(space3, (0, 1, 1))
+        report = check_running_average(
+            prefix, Gamble.indicator(space3, "A"), SelectionProcess.all_ones(), sys)
+        assert report.average == Fraction(1, 3)
+        # ((1 - 0) + (0 - 1/2) + (0 - 0)) / 3
+        assert report.average_above_lower == Fraction(1, 6)
+        assert report.lower_margin is None
 
     def test_empty_selection(self, space3, envelope3):
         prefix = SequencePrefix(space3, (0, 1))

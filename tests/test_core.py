@@ -9,9 +9,7 @@ from imprand import (
     ProbabilityMassFunction,
     SampleSpace,
     SpaceMismatchError,
-    gamble_range,
     linear_expectation,
-    negate,
 )
 from imprand.core import (
     ModelInvariantError,
@@ -157,16 +155,17 @@ class TestLinearExpectation:
 
 
 def test_gamble_range(space3, f_example):
-    assert gamble_range(f_example) == (Fraction(-2), Fraction(3))
-    assert gamble_range(Gamble.constant(space3, 0)) == (Fraction(0), Fraction(0))
+    assert (f_example.minimum(), f_example.maximum()) == (Fraction(-2), Fraction(3))
+    zero = Gamble.constant(space3, 0)
+    assert (zero.minimum(), zero.maximum()) == (Fraction(0), Fraction(0))
     g = Gamble(space3, (Fraction(1, 3), Fraction(1, 3), Fraction(1, 2)))
-    assert gamble_range(g) == (Fraction(1, 3), Fraction(1, 2))
+    assert (g.minimum(), g.maximum()) == (Fraction(1, 3), Fraction(1, 2))
 
 
 def test_negate(space3, f_example):
-    assert negate(f_example).values == (Fraction(-1), Fraction(2), Fraction(-3))
-    assert negate(negate(f_example)) == f_example
-    assert negate(f_example).minimum() == -f_example.maximum()
+    assert (-f_example).values == (Fraction(-1), Fraction(2), Fraction(-3))
+    assert -(-f_example) == f_example
+    assert (-f_example).minimum() == -f_example.maximum()
 
 
 @given(st.lists(rationals, min_size=3, max_size=3),

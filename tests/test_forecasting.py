@@ -13,7 +13,6 @@ from imprand import (
     SpaceMismatchError,
     StationarySystem,
     VacuousModel,
-    forecast_at,
     pointwise_leq,
 )
 from imprand.core import ModelInvariantError
@@ -51,17 +50,17 @@ class TestForecastAt:
     def test_stationary_ignores_situation(self, envelope3, space3):
         sys = StationarySystem(envelope3)
         for s in iter_situations(space3, 3):
-            assert forecast_at(sys, s) is envelope3
+            assert sys.forecast(s) is envelope3
 
     def test_cyclic_by_depth(self, vertices3, space3):
         sys = CyclicSystem(tuple(LinearModel(p) for p in vertices3))
         for s in iter_situations(space3, 4):
-            assert forecast_at(sys, s) == LinearModel(vertices3[s.depth % 3])
+            assert sys.forecast(s) == LinearModel(vertices3[s.depth % 3])
 
     def test_stationary_vacuous(self, space3):
         sys = StationarySystem(VacuousModel(space3))
         s = Situation(space3, (1, 2, 0))
-        assert forecast_at(sys, s) == VacuousModel(space3)
+        assert sys.forecast(s) == VacuousModel(space3)
 
     def test_table_with_default(self, space3, vertices3):
         default = VacuousModel(space3)
@@ -127,3 +126,11 @@ def test_cyclic_period_one_is_stationary(space3, envelope3):
     # spot-check deeper situations along one path
     deep = Situation(space3, (0, 1, 2) * 4)
     assert cyc.forecast(deep) == sta.forecast(deep)
+
+
+def test_period_by_system_kind(space3, envelope3, vertices3):
+    assert StationarySystem(envelope3).period == 1
+    assert CyclicSystem(tuple(LinearModel(p) for p in vertices3)).period == 3
+    assert CyclicSystem((envelope3,)).period == 1
+    assert TableSystem(table={}, default=envelope3).period is None
+    assert ProgrammaticSystem(space3, lambda s: envelope3).period is None

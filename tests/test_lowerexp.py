@@ -16,7 +16,6 @@ from imprand import (
     VacuousModel,
     check_coherence,
     dominates,
-    interval_model,
     linear_expectation,
 )
 from imprand.core import ModelInvariantError
@@ -115,22 +114,26 @@ class TestAnchorGamma:
 
 class TestAnchorInterval:
     def test_identities(self, f_example):
-        model = interval_model(IntervalQ(Fraction(-1, 2), Fraction(2)), f_example)
+        model = AnchorIntervalModel(
+            anchor=f_example, interval=IntervalQ(Fraction(-1, 2), Fraction(2)))
         assert model.lower(f_example) == Fraction(-1, 2)
         assert model.upper(f_example) == Fraction(2)
 
     def test_full_range_equals_vacuous_on_anchor(self, f_example):
-        model = interval_model(IntervalQ(Fraction(-2), Fraction(3)), f_example)
+        model = AnchorIntervalModel(
+            anchor=f_example, interval=IntervalQ(Fraction(-2), Fraction(3)))
         assert model.lower(f_example) == Fraction(-2)
         assert model.upper(f_example) == Fraction(3)
 
     def test_singleton_interval(self, f_example):
-        model = interval_model(IntervalQ(Fraction(1, 4), Fraction(1, 4)), f_example)
+        model = AnchorIntervalModel(
+            anchor=f_example, interval=IntervalQ(Fraction(1, 4), Fraction(1, 4)))
         assert model.lower(f_example) == model.upper(f_example) == Fraction(1, 4)
 
     def test_interval_outside_range_rejected(self, f_example):
         with pytest.raises(ModelInvariantError):
-            interval_model(IntervalQ(Fraction(-3), Fraction(0)), f_example)
+            AnchorIntervalModel(
+                anchor=f_example, interval=IntervalQ(Fraction(-3), Fraction(0)))
 
     def test_interval_order_checked(self):
         with pytest.raises(ModelInvariantError):
@@ -145,7 +148,8 @@ class TestConjugacy:
             EnvelopeModel(vertices3),
             VacuousModel(space3),
             AnchorGammaModel(anchor=f_example, gamma=Fraction(1, 2)),
-            interval_model(IntervalQ(Fraction(-1), Fraction(2)), f_example),
+            AnchorIntervalModel(
+                anchor=f_example, interval=IntervalQ(Fraction(-1), Fraction(2))),
         ]
         for model in models:
             for _ in range(50):
@@ -168,7 +172,8 @@ class TestCoherence:
             EnvelopeModel(vertices3),
             VacuousModel(space3),
             AnchorGammaModel(anchor=f_example, gamma=Fraction(-1)),
-            interval_model(IntervalQ(Fraction(0), Fraction(2)), f_example),
+            AnchorIntervalModel(
+                anchor=f_example, interval=IntervalQ(Fraction(0), Fraction(2))),
         ]
         for model in models:
             probes = [rand_gamble(rng, space3) for _ in range(12)]

@@ -5,6 +5,7 @@ import pytest
 
 from imprand import (
     ApproxProcess,
+    CyclicSystem,
     EnvelopeModel,
     Gamble,
     LLNStrategyParams,
@@ -15,6 +16,7 @@ from imprand import (
     SelectionProcess,
     Situation,
     StationarySystem,
+    TableSystem,
     cap_process,
     classify_process,
     difference,
@@ -133,14 +135,19 @@ class TestSelection:
 
     def test_residue_class(self, space3):
         sel = SelectionProcess.residue_class(3, 1)
-        picked = [sel.selects_depth(d) for d in range(7)]
+        picked = [sel.selects(Situation(space3, (0,) * d)) for d in range(7)]
         assert picked == [0, 1, 0, 0, 1, 0, 0]
 
     def test_table(self, space3):
         sel = SelectionProcess.from_table({(0,): 1}, default=0)
         assert sel.selects(Situation(space3, (0,))) == 1
         assert sel.selects(Situation(space3, (1,))) == 0
-        assert sel.selects_depth(1) is None
+        assert sel.period is None
+
+    def test_period_by_kind(self):
+        assert SelectionProcess.all_ones().period == 1
+        assert SelectionProcess.residue_class(3, 1).period == 3
+        assert SelectionProcess.from_table({(0,): 1}, default=1).period is None
 
     def test_bad_residue_rejected(self):
         with pytest.raises(ModelInvariantError):
@@ -198,6 +205,37 @@ class TestLLNStrategy:
         assert M.value(Situation(space3, (1,) * 16)) == Fraction(67, 64) ** 16
         # same bet on all-A data shrinks by 63/64 per step
         assert M.value(Situation(space3, (0,) * 16)) == Fraction(63, 64) ** 16
+        # a deep path on a cold memo is evaluated without recursion
+        deep = from_multiplier(D)
+        assert deep.value(Situation(space3, (1,) * 5000)) == Fraction(67, 64) ** 5000
+
+    def test_period_is_lcm_of_system_and_selection(self, space3, vertices3):
+        f = Gamble.indicator(space3, "A")
+        cyclic = CyclicSystem((LinearModel(vertices3[0]), LinearModel(vertices3[1])))
+        table = TableSystem(table={}, default=LinearModel(vertices3[0]))
+
+        def period(sys, sel):
+            params = LLNStrategyParams(f=f, direction="lower", epsilon=Fraction(1, 8),
+                                       selection=sel)
+            return lln_strategy(params, sys).period
+
+        assert period(cyclic, SelectionProcess.all_ones()) == 2
+        assert period(cyclic, SelectionProcess.residue_class(3, 0)) == 6
+        assert period(cyclic, SelectionProcess.from_table({}, default=1)) is None
+        assert period(table, SelectionProcess.all_ones()) is None
+
+    def test_table_system_factors_follow_the_path(self, space3, vertices3):
+        # E(1_A) is 1/2 after an A and 0 after a B, both at depth 1
+        f = Gamble.indicator(space3, "A")
+        sys = TableSystem(table={(0,): LinearModel(vertices3[1])},
+                          default=LinearModel(vertices3[0]))
+        D = lln_strategy(
+            LLNStrategyParams(f=f, direction="lower", epsilon=Fraction(1, 8),
+                              selection=SelectionProcess.all_ones()), sys)
+        assert D.factor(Situation(space3, (0,))).values == (
+            Fraction(31, 32), Fraction(33, 32), Fraction(33, 32))
+        assert D.factor(Situation(space3, (1,))).values == (
+            Fraction(15, 16), Fraction(1), Fraction(1))
 
     def test_is_test_supermartingale(self, space3, envelope3, f_example):
         sys = StationarySystem(envelope3)
