@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class Trajectory:
     prefix: SequencePrefix
     strategy_capitals: Tuple[Tuple[Fraction, ...], ...]
     mixture: Tuple[Fraction, ...]
-    running_max: Tuple[Fraction, ...]
     deficiency_bits: float
     argmax_step: int
 
@@ -120,18 +119,15 @@ def run_battery(
         mixture.append(
             sum((w * path[n] for w, path in zip(weights, capitals)), start=Fraction(0))
         )
-    running_max: List[Fraction] = []
     best, best_at = Fraction(0), 0
     for n, m in enumerate(mixture):
         if m > best:
             best, best_at = m, n
-        running_max.append(best)
 
     return Trajectory(
         prefix=prefix,
         strategy_capitals=tuple(tuple(path) for path in capitals),
         mixture=tuple(mixture),
-        running_max=tuple(running_max),
         deficiency_bits=max(0.0, log2_rational(best)),
         argmax_step=best_at,
     )
@@ -142,7 +138,6 @@ _EPSILON_FACTORS = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 
 
 def battery_for_gambles(
     gambles: Sequence[Gamble],
-    epsilon_factors: Sequence[Fraction] = _EPSILON_FACTORS,
     selection_moduli: Sequence[int] = (1, 2, 3, 4),
     directions: Sequence[str] = ("lower", "upper"),
 ) -> Tuple[LLNStrategyParams, ...]:
@@ -172,7 +167,7 @@ def battery_for_gambles(
     for g in gambles:
         bound = max(Fraction(1), g.spread())
         for direction in directions:
-            for factor in epsilon_factors:
+            for factor in _EPSILON_FACTORS:
                 for sel in selections:
                     battery.append(
                         LLNStrategyParams(
@@ -188,7 +183,6 @@ def battery_for_gambles(
 def default_battery(
     space: SampleSpace,
     user_gambles: Sequence[Gamble] = (),
-    epsilon_factors: Sequence[Fraction] = _EPSILON_FACTORS,
     selection_moduli: Sequence[int] = (1, 2, 3, 4),
 ) -> Tuple[LLNStrategyParams, ...]:
     """The standard battery: every symbol indicator plus any user gambles,
@@ -198,7 +192,7 @@ def default_battery(
         if g.space != space:
             raise SpaceMismatchError(space, g.space)
         gambles.append(g)
-    return battery_for_gambles(gambles, epsilon_factors, selection_moduli)
+    return battery_for_gambles(gambles, selection_moduli)
 
 
 def _phase_tables(
@@ -373,34 +367,23 @@ class IntervalEstimate:
     upper_grid: Tuple[GridPoint, ...]
 
 
-def _default_side_builder(f: Gamble) -> Callable[[Fraction, str], ForecastingSystem]:
-    def build(gamma: Fraction, side: str) -> ForecastingSystem:
-        if side == "lower":
-            return StationarySystem(AnchorGammaModel(anchor=f, gamma=gamma))
-        # pinning upper(f) = gamma is pinning lower(-f) = -gamma
-        return StationarySystem(AnchorGammaModel(anchor=-f, gamma=-gamma))
-
-    return build
-
-
 def estimate_interval(
     prefix: SequencePrefix,
     f: Gamble,
     threshold_bits: float = 10.0,
     grid_step: Fraction = Fraction(1, 16),
-    sys_builder: Optional[Callable[[Fraction, str], ForecastingSystem]] = None,
-    gambles: Optional[Sequence[Gamble]] = None,
     selection_moduli: Sequence[int] = (1, 2, 3, 4),
 ) -> IntervalEstimate:
     """Sweep gamma over a grid in [min f, max f] and accept the values whose
-    pinned-forecast model survives the strategy battery.
+    pinned-forecast model survives a battery that bets on f only.
 
-    The lower side tests "the expectation of f is at least gamma" with the
-    least conservative model making that claim; the upper side tests "at
-    most gamma" via the conjugate.  Finite-sample deficiencies need not be
-    monotone along the grid, so acceptance is repaired by a running max of
-    deficiencies before reading off the endpoints; raw values are kept in
-    the returned grids.
+    The lower side tests "the expectation of f is at least gamma" against
+    the stationary ``AnchorGammaModel(f, gamma)``, the least conservative
+    model making that claim; the upper side tests "at most gamma" with the
+    conjugate ``AnchorGammaModel(-f, -gamma)``.  Finite-sample deficiencies
+    need not be monotone along the grid, so acceptance is repaired by a
+    running max of deficiencies before reading off the endpoints; raw values
+    are kept in the returned grids.
     """
     grid_step = as_rational(grid_step)
     if grid_step <= 0:
@@ -409,8 +392,6 @@ def estimate_interval(
         raise ModelInvariantError("threshold must be positive")
     if f.space != prefix.space:
         raise SpaceMismatchError(prefix.space, f.space)
-    build = sys_builder or _default_side_builder(f)
-    battery_gambles = tuple(gambles) if gambles is not None else (f,)
 
     lo, hi = f.minimum(), f.maximum()
     grid: List[Fraction] = []
@@ -420,6 +401,14 @@ def estimate_interval(
         g += grid_step
 
     def sweep(points: Sequence[Fraction], side: str) -> List[GridPoint]:
+        # the opposite direction is unfalsifiable under a pinned model (its
+        # forecast sits at the gamble's extreme), so betting it would only
+        # dilute the mixture weights
+        battery = battery_for_gambles(
+            (f,), selection_moduli=selection_moduli, directions=(side,)
+        )
+        # pinning upper(f) = gamma is pinning lower(-f) = -gamma
+        anchor, sign = (f, 1) if side == "lower" else (-f, -1)
         out: List[GridPoint] = []
         worst = 0.0
         for gamma in points:
@@ -427,15 +416,7 @@ def estimate_interval(
                 # repaired deficiency can only grow; remaining points rejected
                 out.append(GridPoint(gamma, math.inf, math.inf, False))
                 continue
-            sys = build(gamma, side)
-            # the opposite direction is unfalsifiable under a pinned model
-            # (its forecast sits at the gamble's extreme), so betting it
-            # would only dilute the mixture weights
-            battery = battery_for_gambles(
-                battery_gambles,
-                selection_moduli=selection_moduli,
-                directions=(side,),
-            )
+            sys = StationarySystem(AnchorGammaModel(anchor=anchor, gamma=sign * gamma))
             raw = run_battery_fast(prefix, sys, battery).deficiency_bits
             worst = max(worst, raw)
             out.append(GridPoint(gamma, raw, worst, worst <= threshold_bits))

@@ -117,7 +117,7 @@ def _cmd_analyze(args) -> int:
         "deficiency_bits": trajectory.deficiency_bits,
         "threshold_bits": args.threshold_bits,
         "exceeded": trajectory.deficiency_bits >= args.threshold_bits,
-        "mixture_max": format_rational(trajectory.running_max[-1]),
+        "mixture_max": format_rational(trajectory.mixture[trajectory.argmax_step]),
         "argmax_step": trajectory.argmax_step,
     }
     if args.out:
@@ -130,6 +130,18 @@ def _cmd_analyze(args) -> int:
         f"({len(battery)} strategies)"
     )
     return EXIT_THRESHOLD if report["exceeded"] else EXIT_OK
+
+
+def _grid_report(grid) -> List[dict]:
+    return [
+        {
+            "gamma": format_rational(p.gamma),
+            "raw_bits": p.raw_bits,
+            "repaired_bits": p.repaired_bits,
+            "accepted": p.accepted,
+        }
+        for p in grid
+    ]
 
 
 def _cmd_estimate_interval(args) -> int:
@@ -153,24 +165,8 @@ def _cmd_estimate_interval(args) -> int:
         "hi_accept": format_rational(estimate.hi_accept),
         "threshold_bits": estimate.threshold_bits,
         "grid_step": format_rational(estimate.grid_step),
-        "lower_grid": [
-            {
-                "gamma": format_rational(p.gamma),
-                "raw_bits": p.raw_bits,
-                "repaired_bits": p.repaired_bits,
-                "accepted": p.accepted,
-            }
-            for p in estimate.lower_grid
-        ],
-        "upper_grid": [
-            {
-                "gamma": format_rational(p.gamma),
-                "raw_bits": p.raw_bits,
-                "repaired_bits": p.repaired_bits,
-                "accepted": p.accepted,
-            }
-            for p in estimate.upper_grid
-        ],
+        "lower_grid": _grid_report(estimate.lower_grid),
+        "upper_grid": _grid_report(estimate.upper_grid),
     }
     _emit(report, args.out)
     print(

@@ -22,6 +22,13 @@ from imprand.core import ModelInvariantError, SampleSpace, SpaceMismatchError
 from imprand.lowerexp import LowerExpectation
 
 
+def _check_index(space: SampleSpace, i) -> None:
+    if not isinstance(i, int) or not 0 <= i < space.size:
+        raise ModelInvariantError(
+            f"symbol index {i!r} invalid for a {space.size}-symbol space"
+        )
+
+
 @dataclass(frozen=True)
 class Situation:
     """A finite sequence of symbol indices; depth 0 is the root."""
@@ -32,10 +39,15 @@ class Situation:
     def __post_init__(self):
         object.__setattr__(self, "symbols", tuple(self.symbols))
         for i in self.symbols:
-            if not isinstance(i, int) or not 0 <= i < self.space.size:
-                raise ModelInvariantError(
-                    f"symbol index {i!r} invalid for a {self.space.size}-symbol space"
-                )
+            _check_index(self.space, i)
+
+    @classmethod
+    def _trusted(cls, space: SampleSpace, symbols: Tuple[int, ...]) -> "Situation":
+        """A situation over a tuple of indices that are already validated."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "space", space)
+        object.__setattr__(s, "symbols", symbols)
+        return s
 
     @classmethod
     def root(cls, space: SampleSpace) -> "Situation":
@@ -50,7 +62,8 @@ class Situation:
         return len(self.symbols)
 
     def child(self, index: int) -> "Situation":
-        return Situation(self.space, self.symbols + (index,))
+        _check_index(self.space, index)
+        return Situation._trusted(self.space, self.symbols + (index,))
 
     def children(self) -> Iterator["Situation"]:
         for i in self.space:

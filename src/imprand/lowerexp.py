@@ -48,9 +48,6 @@ class IntervalQ:
         if self.lo > self.hi:
             raise ModelInvariantError(f"interval lower bound {self.lo} > {self.hi}")
 
-    def contains(self, value: Fraction) -> bool:
-        return self.lo <= value <= self.hi
-
 
 class LowerExpectation:
     """Base class; subclasses implement :meth:`lower`."""

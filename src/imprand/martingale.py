@@ -186,18 +186,19 @@ def from_multiplier(D: MultiplierProcess) -> RationalProcess:
     memo = process._memo
 
     def eval_capital(s: Situation) -> Fraction:
-        # walk back to the deepest memoized ancestor, then forward along the
-        # path, memoizing every prefix: no recursion, and a sweep that visits
-        # parents first makes one factor call per situation
+        # one factor call from a memoized parent (a sweep that visits parents
+        # first); otherwise a walk from the root that memoizes nothing, so a
+        # deep path costs neither recursion nor a memo entry per prefix
         path = s.symbols
-        start = max(len(path) - 1, 0)
-        while start > 0 and path[:start] not in memo:
-            start -= 1
-        value = memo.get(path[:start], Fraction(1))
-        for n in range(start, len(path)):
-            prefix = path[:n]
-            memo[prefix] = value
-            value *= D.factor(Situation(s.space, prefix))[path[n]]
+        up = path[:-1]
+        parent = memo.get(up) if path else None
+        if parent is not None:
+            return parent * D.factor(Situation._trusted(s.space, up))[path[-1]]
+        value = Fraction(1)
+        t = Situation.root(s.space)
+        for x in path:
+            value *= D.factor(t)[x]
+            t = t.child(x)
         return value
 
     process._fn = eval_capital
@@ -353,15 +354,14 @@ class ApproxProcess:
         return as_rational(self.net(s, index))
 
 
-def rationalize(M: ApproxProcess, depth: int = 0) -> Tuple[RationalProcess, Fraction]:
+def rationalize(M: ApproxProcess) -> Tuple[RationalProcess, Fraction]:
     """Exact positive rational strict supermartingale tracking an
     approximately known non-negative supermartingale.
 
     Construction: M'(s) = (r(s) + 6*2^-d(s)) / alpha with alpha = r(root) + 6,
     where r(s) is the net's approximation at s to d(s) bits.  Then M'(root)
     is exactly 1 and |alpha*M'(s) - M(s)| <= 7 wherever the approximation
-    contract holds.  The depth argument is an audit hint only; the returned
-    process is defined on the whole tree.
+    contract holds.
     """
     root = Situation.root(M.space)
     r_root = M.approximation(root, 0)
@@ -396,15 +396,12 @@ def cap_process(M: RationalProcess, k: int) -> RationalProcess:
     return RationalProcess(M.space, eval_capped)
 
 
-def mix(processes: Sequence[RationalProcess], truncation: Optional[int] = None) -> RationalProcess:
+def mix(processes: Sequence[RationalProcess]) -> RationalProcess:
     """Exact mixture with geometric weights 2^-i renormalized to sum to 1.
 
-    Mixing preserves positivity and the supermartingale property.  An
-    optional truncation keeps only the first n processes.
+    Mixing preserves positivity and the supermartingale property.
     """
     members = list(processes)
-    if truncation is not None:
-        members = members[:truncation]
     if not members:
         raise ModelInvariantError("cannot mix an empty list of processes")
     space = members[0].space

@@ -52,11 +52,8 @@ class SequencePrefix:
 
     def situation(self, depth: int) -> Situation:
         """The situation after the first `depth` outcomes."""
-        # bypass per-symbol re-validation: the prefix already checked them
-        s = object.__new__(Situation)
-        object.__setattr__(s, "space", self.space)
-        object.__setattr__(s, "symbols", self.symbols[:depth])
-        return s
+        # the prefix already validated its symbols
+        return Situation._trusted(self.space, self.symbols[:depth])
 
 
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -185,10 +182,9 @@ def _generate_adversarial(
             raise SpaceMismatchError(space, member.space)
     weights = mixture_weights(len(battery))
     capitals: List[Fraction] = [Fraction(1)] * len(battery)
-    path: List[int] = []
+    s = Situation.root(space)
 
-    for depth in range(length):
-        s = Situation(space, tuple(path))
+    for _ in range(length):
         factors = []
         for member in battery:
             g = member.factor(s)
@@ -206,9 +202,9 @@ def _generate_adversarial(
             if best_value is None or candidate < best_value:
                 best_x, best_value = x, candidate
         capitals = [c * g[best_x] for c, g in zip(capitals, factors)]
-        path.append(best_x)
+        s = s.child(best_x)
 
-    return SequencePrefix(space, tuple(path))
+    return SequencePrefix(space, s.symbols)
 
 
 _HEADER_PREFIX = "# alphabet:"

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -199,6 +200,25 @@ class TestEstimateInterval:
         est = estimate_interval(prefix, f, selection_moduli=(1,))
         assert est.hi_accept == 1
         assert est.lo_accept >= Fraction(13, 16)
+
+    def test_raw_bits_match_independent_evaluation(self, space3, vertices3, f_example):
+        seq = generate(GeneratorSpec.cyclic((vertices3[0], vertices3[2]),
+                                            2000, seed=13))
+        moduli = (1, 2)
+        est = estimate_interval(seq, f_example, selection_moduli=moduli)
+        # the upper side pins upper(f) = gamma, that is lower(-f) = -gamma
+        for side, grid, anchor, sign in (
+            ("lower", est.lower_grid, f_example, 1),
+            ("upper", est.upper_grid, -f_example, -1),
+        ):
+            # the last evaluated point is the first one the data reject
+            point = [p for p in grid if p.raw_bits != math.inf][-1]
+            assert point.raw_bits > est.threshold_bits
+            model = AnchorGammaModel(anchor=anchor, gamma=sign * point.gamma)
+            battery = battery_for_gambles((f_example,), selection_moduli=moduli,
+                                          directions=(side,))
+            want = run_battery_fast(seq, StationarySystem(model), battery)
+            assert point.raw_bits == want.deficiency_bits
 
     def test_grid_validation(self, space3):
         prefix = SequencePrefix(space3, (0,) * 10)

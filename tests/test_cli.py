@@ -131,6 +131,9 @@ class TestAnalyze:
         assert report["exceeded"] is True
         assert report["steps"] == 300
         assert report["deficiency_bits"] > 10
+        # the capital grows at every all-B step, so the mixture peaks last
+        assert Fraction(report["mixture_max"]) == Fraction(67, 64) ** 300
+        assert report["argmax_step"] == 300
 
     def test_missing_file_exits_one(self, tmp_path, anchor_system_file):
         battery = write_json(tmp_path, "battery.json", LLN_BATTERY)

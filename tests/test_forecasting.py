@@ -37,6 +37,13 @@ class TestSituation:
         with pytest.raises(ModelInvariantError):
             Situation(space3, (3,))
 
+    def test_child_validates_appended_index(self, space3):
+        s = Situation(space3, (1,))
+        assert s.child(2) == Situation(space3, (1, 2))
+        for bad in (3, -1):
+            with pytest.raises(ModelInvariantError):
+                s.child(bad)
+
     def test_breadth_first_enumeration(self, space3):
         seen = list(iter_situations(space3, 2))
         assert len(seen) == 1 + 3 + 9

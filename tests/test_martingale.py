@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -205,9 +206,18 @@ class TestLLNStrategy:
         assert M.value(Situation(space3, (1,) * 16)) == Fraction(67, 64) ** 16
         # same bet on all-A data shrinks by 63/64 per step
         assert M.value(Situation(space3, (0,) * 16)) == Fraction(63, 64) ** 16
-        # a deep path on a cold memo is evaluated without recursion
+        # a deep path on a cold memo is evaluated without recursion and
+        # without a memo entry per prefix
         deep = from_multiplier(D)
-        assert deep.value(Situation(space3, (1,) * 5000)) == Fraction(67, 64) ** 5000
+        s = Situation(space3, (1,) * 5000)
+        tracemalloc.start()
+        try:
+            value = deep.value(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == Fraction(67, 64) ** 5000
+        assert peak < 20 * 2 ** 20
 
     def test_period_is_lcm_of_system_and_selection(self, space3, vertices3):
         f = Gamble.indicator(space3, "A")
@@ -335,12 +345,6 @@ class TestCapAndMix:
         one = RationalProcess.constant(space3, Fraction(1))
         mixed = mix([one, RationalProcess.constant(space3, Fraction(1))])
         assert mixed.value(Situation(space3, (2, 2))) == 1
-
-    def test_mix_truncation(self, space3, halving_multiplier):
-        M = from_multiplier(halving_multiplier)
-        one = RationalProcess.constant(space3, Fraction(1))
-        mixed = mix([one, M], truncation=1)
-        assert mixed.value(Situation(space3, (1,))) == 1
 
     def test_mix_empty_rejected(self):
         with pytest.raises(ModelInvariantError):
