@@ -77,12 +77,16 @@ def run_battery(
 
     With ``audit_depth`` set, every battery member's generated process is
     first classified to that depth and rejected unless it is a test
-    supermartingale for the system.  Strategy paths are independent and can
-    be computed on up to ``threads`` worker threads.
+    supermartingale for the system.  The battery is split into at most
+    ``threads`` contiguous groups (``threads >= 1``), each walked on its own
+    worker thread; a group builds one situation per step and shares it
+    among its members.
     """
     battery = list(battery)
     if not battery:
         raise ModelInvariantError("battery must be non-empty")
+    if threads < 1:
+        raise ModelInvariantError(f"threads must be at least 1, got {threads}")
     for member in battery:
         if member.space != prefix.space:
             raise SpaceMismatchError(prefix.space, member.space)
@@ -98,21 +102,22 @@ def run_battery(
                 )
 
     weights = mixture_weights(len(battery))
-    situations = [prefix.situation(n) for n in range(len(prefix))]
 
-    def capital_path(member: MultiplierProcess) -> List[Fraction]:
-        path = [Fraction(1)]
-        for s, x in zip(situations, prefix.symbols):
-            path.append(path[-1] * member.factor(s)[x])
-        return path
+    def capital_paths(members: Sequence[MultiplierProcess]) -> List[List[Fraction]]:
+        paths = [[Fraction(1)] for _ in members]
+        for n, x in enumerate(prefix.symbols):
+            s = prefix.situation(n)
+            for member, path in zip(members, paths):
+                path.append(path[-1] * member.factor(s)[x])
+        return paths
 
-    if threads > 1 and len(battery) > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    # imported here: it would add about 6 ms to every import of imprand
+    from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            capitals = list(pool.map(capital_path, battery))
-    else:
-        capitals = [capital_path(member) for member in battery]
+    size = -(-len(battery) // threads)
+    groups = [battery[i : i + size] for i in range(0, len(battery), size)]
+    with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+        capitals = [path for paths in pool.map(capital_paths, groups) for path in paths]
 
     mixture = []
     for n in range(len(prefix) + 1):
@@ -159,6 +164,8 @@ def battery_for_gambles(
             raise SpaceMismatchError(space, g.space)
     selections: List[SelectionProcess] = []
     for m in selection_moduli:
+        if m < 1:
+            raise ModelInvariantError(f"selection modulus must be at least 1, got {m}")
         if m == 1:
             selections.append(SelectionProcess.all_ones())
         else:
@@ -220,11 +227,10 @@ def _phase_tables(
 
 @dataclass(frozen=True)
 class FastBatteryResult:
-    """Float capital paths (as log2) from the vectorized evaluation."""
+    """Log2 mixture path from the vectorized evaluation."""
 
     deficiency_bits: float
     mixture_log2: np.ndarray
-    strategy_log2: np.ndarray
 
 
 def run_battery_fast(
@@ -246,23 +252,20 @@ def run_battery_fast(
     L, tables = _phase_tables(sys, strategies)
     n = len(prefix)
     data = np.asarray(prefix.symbols, dtype=np.int64)
-    phases = np.arange(n, dtype=np.int64) % L
+    at = np.arange(n, dtype=np.int64) % L * sys.space.size + data
 
-    steps = tables[:, phases, data]  # (B, N) log2 factors along the path
+    # one (B, N+1) buffer: log2 capitals, then the weighted terms in place
     cum = np.zeros((len(strategies), n + 1), dtype=np.float64)
-    np.cumsum(steps, axis=1, out=cum[:, 1:])
-
+    for row, table in zip(cum, tables.reshape(len(strategies), -1)):
+        np.cumsum(table[at], out=row[1:])
     weights = mixture_weights(len(strategies))
-    log_w = np.array([log2_rational(w) for w in weights])[:, None]
-    shifted = log_w + cum
-    peak = shifted.max(axis=0)
-    mixture_log2 = peak + np.log2(np.exp2(shifted - peak).sum(axis=0))
+    cum += np.array([log2_rational(w) for w in weights])[:, None]
+    peak = cum.max(axis=0)
+    cum -= peak
+    np.exp2(cum, out=cum)
+    mixture_log2 = peak + np.log2(cum.sum(axis=0))
     deficiency = float(max(0.0, mixture_log2.max()))
-    return FastBatteryResult(
-        deficiency_bits=deficiency,
-        mixture_log2=mixture_log2,
-        strategy_log2=cum,
-    )
+    return FastBatteryResult(deficiency_bits=deficiency, mixture_log2=mixture_log2)
 
 
 @dataclass(frozen=True)
@@ -388,8 +391,10 @@ def estimate_interval(
     grid_step = as_rational(grid_step)
     if grid_step <= 0:
         raise ModelInvariantError(f"grid step must be positive, got {grid_step}")
-    if threshold_bits <= 0:
-        raise ModelInvariantError("threshold must be positive")
+    if not (math.isfinite(threshold_bits) and threshold_bits > 0):
+        raise ModelInvariantError(
+            f"threshold must be positive and finite, got {threshold_bits}"
+        )
     if f.space != prefix.space:
         raise SpaceMismatchError(prefix.space, f.space)
 

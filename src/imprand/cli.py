@@ -3,15 +3,14 @@ generation, verification and running averages.
 
 Exit codes: 0 success, 1 parse or I/O error, 2 model-invariant violation,
 3 deficiency at or above the threshold (analyze only).  Every run is a pure
-function of its input files, flags and seed.  The optional IMPRAND_THREADS
-environment variable caps internal worker threads.
+function of its input files, flags and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys as _sys
 from typing import List, Optional
 
@@ -59,16 +58,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _max_threads() -> int:
-    raw = os.environ.get("IMPRAND_THREADS")
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParseError(f"IMPRAND_THREADS must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise ParseError(f"IMPRAND_THREADS must be a positive integer, got {raw!r}")
+def _threshold_bits(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
     return value
 
 
@@ -104,13 +97,7 @@ def _cmd_analyze(args) -> int:
     system = load_system(args.system)
     battery = _build_processes(load_battery(args.battery, system.space), system)
     prefix = read_sequence(args.sequence, system.space)
-    trajectory = run_battery(
-        prefix,
-        system,
-        battery,
-        audit_depth=args.audit_depth,
-        threads=_max_threads(),
-    )
+    trajectory = run_battery(prefix, system, battery, audit_depth=args.audit_depth)
     report = {
         "steps": len(prefix),
         "strategies": len(battery),
@@ -308,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--system", required=True)
     analyze.add_argument("--battery", required=True)
     analyze.add_argument("--sequence", required=True)
-    analyze.add_argument("--threshold-bits", type=float, default=10.0)
+    analyze.add_argument("--threshold-bits", type=_threshold_bits, default=10.0)
     analyze.add_argument("--audit-depth", type=int, default=None)
     analyze.add_argument("--out")
     analyze.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -319,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     est.add_argument("--gamble", required=True)
     est.add_argument("--sequence", required=True)
-    est.add_argument("--threshold-bits", type=float, default=10.0)
+    est.add_argument("--threshold-bits", type=_threshold_bits, default=10.0)
     est.add_argument("--grid-step", default="1/16")
     est.add_argument("--selection-moduli", default="1,2,3,4")
     est.add_argument("--out")

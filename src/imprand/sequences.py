@@ -180,8 +180,8 @@ def _generate_adversarial(
     for member in battery:
         if member.space != space:
             raise SpaceMismatchError(space, member.space)
-    weights = mixture_weights(len(battery))
-    capitals: List[Fraction] = [Fraction(1)] * len(battery)
+    # weighted capitals w_i * c_i; every capital starts at 1
+    weighted = list(mixture_weights(len(battery)))
     s = Situation.root(space)
 
     for _ in range(length):
@@ -196,12 +196,11 @@ def _generate_adversarial(
         best_x, best_value = 0, None
         for x in space:
             candidate = sum(
-                (w * c * g[x] for w, c, g in zip(weights, capitals, factors)),
-                start=Fraction(0),
+                (wc * g[x] for wc, g in zip(weighted, factors)), start=Fraction(0)
             )
             if best_value is None or candidate < best_value:
                 best_x, best_value = x, candidate
-        capitals = [c * g[best_x] for c, g in zip(capitals, factors)]
+        weighted = [wc * g[best_x] for wc, g in zip(weighted, factors)]
         s = s.child(best_x)
 
     return SequencePrefix(space, s.symbols)

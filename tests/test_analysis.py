@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from imprand import (
     LLNStrategyParams,
     LinearModel,
     CyclicSystem,
+    MultiplierProcess,
     ProbabilityMassFunction,
     ProgrammaticSystem,
     SelectionProcess,
@@ -91,12 +93,40 @@ class TestRunBattery:
             run_battery(SequencePrefix(space3, (0,)), StationarySystem(envelope3),
                         [growing], audit_depth=2)
 
-    def test_threads_agree_with_serial(self, space3, anchor_sys, anchor_strategy,
+    def test_threads_agree_with_serial(self, space3, anchor_sys,
                                        halving_multiplier):
+        # six members, so every thread count splits them into several
+        # groups whose paths must come back in battery order
+        battery = [lln_strategy(p, anchor_sys) for p in default_battery(space3)[:5]]
+        battery.append(halving_multiplier)
         prefix = SequencePrefix(space3, (1, 0, 1, 1, 2, 0) * 10)
-        a = run_battery(prefix, anchor_sys, [anchor_strategy], threads=1)
-        b = run_battery(prefix, anchor_sys, [anchor_strategy], threads=4)
-        assert a.mixture == b.mixture
+        a = run_battery(prefix, anchor_sys, battery, threads=1)
+        for threads in (2, 3, 4):
+            b = run_battery(prefix, anchor_sys, battery, threads=threads)
+            assert b.strategy_capitals == a.strategy_capitals
+            assert b.mixture == a.mixture
+            assert b.argmax_step == a.argmax_step
+
+    def test_threads_must_be_positive(self, space3, anchor_sys, anchor_strategy):
+        with pytest.raises(ModelInvariantError):
+            run_battery(SequencePrefix(space3, (0,)), anchor_sys, [anchor_strategy],
+                        threads=0)
+
+    def test_memory_is_linear_in_steps(self, space3, anchor_sys):
+        # a unit-factor member keeps every capital at 1, so the peak is the
+        # paths and situations alone; holding all 4000 prefix situations at
+        # once would take about 62 MiB
+        unit = MultiplierProcess(space3, lambda s: Gamble.constant(space3, 1),
+                                 period=1)
+        prefix = SequencePrefix(space3, (1, 0, 2) * 1333 + (0,))
+        run_battery(prefix, anchor_sys, [unit])
+        tracemalloc.start()
+        try:
+            run_battery(prefix, anchor_sys, [unit])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2 ** 20
 
 
 class TestFastPath:
@@ -129,6 +159,22 @@ class TestFastPath:
             run_battery_fast(SequencePrefix(space3, (0,)), system(anchor_sys.model),
                              [params])
 
+    def test_memory_is_one_buffer(self, space3, vertices3):
+        # B=24, N=20000: the kernel may hold fewer than three (B, N+1)
+        # float64 arrays at once
+        sys = CyclicSystem((LinearModel(vertices3[0]), LinearModel(vertices3[2])))
+        battery = default_battery(space3)[:24]
+        prefix = generate(GeneratorSpec.cyclic((vertices3[0], vertices3[2]),
+                                               20000, seed=5))
+        run_battery_fast(prefix, sys, battery)
+        tracemalloc.start()
+        try:
+            run_battery_fast(prefix, sys, battery)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 24 * 20001 * 8
+
 
 class TestDefaultBattery:
     def test_shape_and_order(self, space3, f_example):
@@ -140,6 +186,12 @@ class TestDefaultBattery:
         assert first.direction == "lower"
         assert first.epsilon == Fraction(1, 2)
         assert first.selection.kind == "all"
+
+    @pytest.mark.parametrize("moduli, bad", [((1, -3, 0), "-3"), ((0,), "0")])
+    def test_rejects_modulus_below_one(self, space3, moduli, bad):
+        with pytest.raises(ModelInvariantError, match=f"got {bad}$"):
+            battery_for_gambles([Gamble.indicator(space3, "A")],
+                                selection_moduli=moduli)
 
     def test_epsilon_scaled_by_bound(self, space3, f_example):
         battery = battery_for_gambles([f_example], directions=("lower",),
@@ -225,8 +277,9 @@ class TestEstimateInterval:
         f = Gamble.indicator(space3, "A")
         with pytest.raises(ModelInvariantError):
             estimate_interval(prefix, f, grid_step=Fraction(0))
-        with pytest.raises(ModelInvariantError):
-            estimate_interval(prefix, f, threshold_bits=0.0)
+        for bad in (0.0, math.nan):
+            with pytest.raises(ModelInvariantError):
+                estimate_interval(prefix, f, threshold_bits=bad)
 
     def test_repair_makes_acceptance_an_interval(self, space3, vertices3, f_example):
         seq = generate(GeneratorSpec.cyclic((vertices3[0], vertices3[2]),

@@ -172,16 +172,6 @@ class TestAnalyze:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_threads_env_var(self, tmp_path, anchor_system_file,
-                             all_b_sequence_file, monkeypatch):
-        battery = write_json(tmp_path, "battery.json", LLN_BATTERY)
-        monkeypatch.setenv("IMPRAND_THREADS", "2")
-        assert main(["analyze", "--system", anchor_system_file, "--battery",
-                     battery, "--sequence", all_b_sequence_file]) == 3
-        monkeypatch.setenv("IMPRAND_THREADS", "zero")
-        assert main(["analyze", "--system", anchor_system_file, "--battery",
-                     battery, "--sequence", all_b_sequence_file]) == 1
-
 
 class TestEstimateInterval:
     def test_constant_a_report(self, tmp_path):
@@ -208,6 +198,37 @@ class TestEstimateInterval:
         code = main(["estimate-interval", "--gamble", gamble, "--sequence",
                      str(seq), "--grid-step", "0.25"])
         assert code == 1
+
+    def test_bad_selection_modulus_exits_two(self, tmp_path, iid_sequence_file,
+                                             capsys):
+        gamble = write_json(tmp_path, "g.json",
+                            gamble_to_dict(Gamble.indicator(SPACE, "A")))
+        out = tmp_path / "est.json"
+        code = main(["estimate-interval", "--gamble", gamble, "--sequence",
+                     iid_sequence_file, "--selection-moduli", "1,-3,0",
+                     "--out", str(out)])
+        assert code == 2
+        assert "-3" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])
+@pytest.mark.parametrize("command", ["analyze", "estimate-interval"])
+def test_threshold_bits_must_be_positive_and_finite(
+        tmp_path, anchor_system_file, iid_sequence_file, command, value, capsys):
+    out = tmp_path / "out.json"
+    if command == "analyze":
+        battery = write_json(tmp_path, "battery.json", LLN_BATTERY)
+        args = ["analyze", "--system", anchor_system_file, "--battery", battery]
+    else:
+        gamble = write_json(tmp_path, "g.json",
+                            gamble_to_dict(Gamble.indicator(SPACE, "A")))
+        args = ["estimate-interval", "--gamble", gamble]
+    code = main(args + ["--sequence", iid_sequence_file, "--out", str(out),
+                        f"--threshold-bits={value}"])
+    assert code == 1
+    assert "--threshold-bits" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestGenerate:
