@@ -18,6 +18,7 @@ floats.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -293,40 +294,29 @@ def check_running_average(
     the step; ``average_below_upper`` the mean of the upper forecast minus
     f(x).  For systems of period 1 the margins to [E(f), upper(f)] are also
     reported.  Zero selected steps yields an explicit empty result.
+
+    The sums run over (key, symbol) counts, the key being the depth modulo
+    the joint period of system and selection (the depth when there is none);
+    selection and forecast are read once per cell, at the depth-key situation.
     """
     if f.space != prefix.space or sys.space != prefix.space:
         raise SpaceMismatchError(prefix.space, f.space if f.space != prefix.space else sys.space)
 
-    def step_bounds(n: int) -> Optional[Tuple[Fraction, Fraction]]:
-        s = prefix.situation(n)
-        if not S.selects(s):
-            return None
-        model = sys.forecast(s)
-        return model.lower(f), model.upper(f)
-
-    # building the full situation at every step is quadratic in the prefix
-    # length; with a period, selection and bounds are computed once per phase
     period = joint_period(sys.period, S.period)
-    phase_bounds = {}
+    depths = range(len(prefix))
+    keys = depths if period is None else (n % period for n in depths)
     count = 0
-    total = Fraction(0)
-    total_above = Fraction(0)
-    total_below = Fraction(0)
-    for n in range(len(prefix)):
-        if period is None:
-            bounds = step_bounds(n)
-        else:
-            if n < period:
-                phase_bounds[n] = step_bounds(n)
-            bounds = phase_bounds[n % period]
-        if bounds is None:
+    total = total_above = total_below = Fraction(0)
+    for (key, x), c in Counter(zip(keys, prefix.symbols)).items():
+        s = prefix.situation(key)
+        if not S.selects(s):
             continue
-        lo, up = bounds
-        value = f[prefix.symbols[n]]
-        count += 1
-        total += value
-        total_above += value - lo
-        total_below += up - value
+        model = sys.forecast(s)
+        value = f[x]
+        count += c
+        total += c * value
+        total_above += c * (value - model.lower(f))
+        total_below += c * (model.upper(f) - value)
 
     if count == 0:
         return AverageReport(0, None, None, None, None, None)

@@ -343,6 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
+    # exact capitals outgrow Python's 4300-digit int-to-str limit within a few
+    # thousand steps; the integers written are ones the run computed
+    digits = _sys.get_int_max_str_digits()
+    _sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
@@ -352,6 +356,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ParseError, ImprandError, OSError) as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_PARSE
+    finally:
+        _sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

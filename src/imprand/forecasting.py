@@ -15,6 +15,7 @@ the periods of the objects a betting strategy is built from.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
@@ -22,11 +23,17 @@ from imprand.core import ModelInvariantError, SampleSpace, SpaceMismatchError
 from imprand.lowerexp import LowerExpectation
 
 
-def _check_index(space: SampleSpace, i) -> None:
-    if not isinstance(i, int) or not 0 <= i < space.size:
+def _check_index(space: SampleSpace, i) -> int:
+    """i as a Python int; integer types such as numpy's pass, 1.9 does not."""
+    try:
+        index = operator.index(i)
+    except TypeError:
+        index = -1
+    if not 0 <= index < space.size:
         raise ModelInvariantError(
             f"symbol index {i!r} invalid for a {space.size}-symbol space"
         )
+    return index
 
 
 @dataclass(frozen=True)
@@ -37,9 +44,8 @@ class Situation:
     symbols: Tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(self.symbols))
-        for i in self.symbols:
-            _check_index(self.space, i)
+        symbols = tuple(_check_index(self.space, i) for i in self.symbols)
+        object.__setattr__(self, "symbols", symbols)
 
     @classmethod
     def _trusted(cls, space: SampleSpace, symbols: Tuple[int, ...]) -> "Situation":
@@ -62,7 +68,7 @@ class Situation:
         return len(self.symbols)
 
     def child(self, index: int) -> "Situation":
-        _check_index(self.space, index)
+        index = _check_index(self.space, index)
         return Situation._trusted(self.space, self.symbols + (index,))
 
     def children(self) -> Iterator["Situation"]:

@@ -66,7 +66,9 @@ class MultiplierProcess:
     factors).
 
     With ``period`` set, the factor depends on the depth mod period alone
-    and is memoized per phase; otherwise it is memoized per path.
+    and is memoized per phase.  Otherwise only the last situation's factor
+    is kept: a walk holds one factor, not one per prefix, and a sweep, which
+    asks a parent's factor once per child in a row, computes one per node.
     """
 
     def __init__(
@@ -94,6 +96,8 @@ class MultiplierProcess:
                     f"multiplier at {s.tokens()!r} takes negative value {g.minimum()}"
                 )
             cached = g
+            if self.period is None:
+                self._memo.clear()
             self._memo[key] = cached
         return cached
 

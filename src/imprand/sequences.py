@@ -25,30 +25,12 @@ from imprand.forecasting import ForecastingSystem, Situation
 from imprand.martingale import MultiplierProcess, mixture_weights
 
 
-@dataclass(frozen=True)
-class SequencePrefix:
-    """A finite data prefix: symbol indices over a sample space."""
-
-    space: SampleSpace
-    symbols: Tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "symbols", tuple(int(i) for i in self.symbols))
-        for i in self.symbols:
-            if not 0 <= i < self.space.size:
-                raise ModelInvariantError(
-                    f"symbol index {i} invalid for a {self.space.size}-symbol space"
-                )
-
-    @classmethod
-    def from_tokens(cls, space: SampleSpace, tokens: Sequence[str]) -> "SequencePrefix":
-        return cls(space, tuple(space.index_of(t) for t in tokens))
+class SequencePrefix(Situation):
+    """A finite data prefix: the situation the data has reached, read one
+    depth at a time."""
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def tokens(self) -> Tuple[str, ...]:
-        return tuple(self.space.symbols[i] for i in self.symbols)
 
     def situation(self, depth: int) -> Situation:
         """The situation after the first `depth` outcomes."""
@@ -164,7 +146,7 @@ def _generate_cyclic(
         thresholds = _cdf_thresholds(p)
         block = draws[phase::period]
         symbols[phase::period] = np.searchsorted(thresholds, block, side="right")
-    return SequencePrefix(space, tuple(int(i) for i in symbols))
+    return SequencePrefix(space, symbols.tolist())
 
 
 def _generate_adversarial(
@@ -231,8 +213,16 @@ def read_sequence(path, space: Optional[SampleSpace] = None) -> SequencePrefix:
                 continue
             if stripped.startswith("#"):
                 if stripped.startswith(_HEADER_PREFIX):
-                    declared = tuple(stripped[len(_HEADER_PREFIX) :].split())
-                    header_space = SampleSpace(declared)
+                    declared = SampleSpace(
+                        tuple(stripped[len(_HEADER_PREFIX) :].split())
+                    )
+                    if header_space is not None and declared != header_space:
+                        # the symbols read so far were indexed in the first one
+                        raise ImprandError(
+                            f"{path}:{lineno}: alphabet {declared.symbols!r} differs "
+                            f"from the earlier header's {header_space.symbols!r}"
+                        )
+                    header_space = declared
                 continue
             if space is None and header_space is None:
                 raise ImprandError(

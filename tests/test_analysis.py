@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from imprand import (
+    EnvelopeModel,
     Gamble,
     GeneratorSpec,
     IntervalQ,
@@ -18,6 +19,7 @@ from imprand import (
     ProgrammaticSystem,
     SelectionProcess,
     SequencePrefix,
+    Situation,
     StationarySystem,
     TableSystem,
     VacuousModel,
@@ -32,10 +34,12 @@ from imprand import (
     run_battery,
     run_battery_fast,
 )
+from imprand.analysis import AverageReport
 from imprand.core import ModelInvariantError
+from imprand.forecasting import iter_situations
 from imprand.lowerexp import AnchorGammaModel
 
-from conftest import rand_gamble
+from conftest import rand_gamble, rand_pmf
 
 
 @pytest.fixture
@@ -127,6 +131,29 @@ class TestRunBattery:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2 ** 20
+
+    def test_path_keyed_walks_hold_one_factor(self, space3, anchor_sys):
+        # a unit-factor member without a period; memoizing the factor of
+        # every prefix of a 4000-step walk would take about 61 MiB
+        one = Gamble.constant(space3, 1)
+        prefix = SequencePrefix(space3, (1, 0, 2) * 1333 + (0,))
+        walks = {
+            "run_battery": lambda unit: run_battery(prefix, anchor_sys, [unit]),
+            "adversarial": lambda unit: generate(
+                GeneratorSpec.adversarial(anchor_sys, [unit], 4000)),
+        }
+        peaks = {}
+        for name, walk in walks.items():
+            walk(MultiplierProcess(space3, lambda s: one))
+            # a fresh member, so no factor is memoized before the walk
+            unit = MultiplierProcess(space3, lambda s: one)
+            tracemalloc.start()
+            try:
+                walk(unit)
+                _, peaks[name] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) < 5 * 2 ** 20, peaks
 
 
 class TestFastPath:
@@ -243,6 +270,58 @@ class TestRunningAverage:
             seq, f_example, SelectionProcess.residue_class(2, 1), sys)
         assert abs(float(even.average) - 0.5) < 0.05
         assert abs(float(odd.average) + 0.5) < 0.05
+
+
+def naive_average(prefix, f, S, sys):
+    """check_running_average as one loop over the steps."""
+    count, total, above, below = 0, Fraction(0), Fraction(0), Fraction(0)
+    for n, x in enumerate(prefix.symbols):
+        s = Situation(prefix.space, prefix.symbols[:n])
+        if S.selects(s):
+            model = sys.forecast(s)
+            count += 1
+            total += f[x]
+            above += f[x] - model.lower(f)
+            below += model.upper(f) - f[x]
+    if count == 0:
+        return AverageReport(0, None, None, None, None, None)
+    average = total / count
+    margins = (None, None)
+    if sys.period == 1:
+        model = sys.forecast(Situation.root(sys.space))
+        margins = (average - model.lower(f), model.upper(f) - average)
+    return AverageReport(count, average, above / count, below / count, *margins)
+
+
+def test_running_average_matches_naive_loop(space3):
+    rng = random.Random(23)
+
+    def envelope():
+        return EnvelopeModel(tuple(rand_pmf(rng, space3) for _ in range(2)))
+
+    shallow = list(iter_situations(space3, 2))
+    systems = [
+        StationarySystem(envelope()),
+        CyclicSystem((envelope(), envelope())),
+        CyclicSystem((envelope(), envelope(), envelope())),
+        TableSystem(table={s.symbols: envelope() for s in shallow
+                           if rng.random() < 0.5},
+                    default=envelope()),
+    ]
+    selections = [
+        SelectionProcess.all_ones(),
+        SelectionProcess.residue_class(2, 1),
+        SelectionProcess.residue_class(3, 0),
+        SelectionProcess.from_table({s.symbols: rng.randint(0, 1) for s in shallow},
+                                    default=1),
+    ]
+    for _ in range(6):
+        prefix = SequencePrefix(
+            space3, tuple(rng.randrange(3) for _ in range(rng.randint(0, 60))))
+        f = rand_gamble(rng, space3)
+        for sys, S in itertools.product(systems, selections):
+            assert check_running_average(prefix, f, S, sys) == \
+                naive_average(prefix, f, S, sys)
 
 
 class TestEstimateInterval:

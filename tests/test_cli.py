@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from imprand import (
     GeneratorSpec,
     ProbabilityMassFunction,
     SampleSpace,
+    SequencePrefix,
     StationarySystem,
     gamble_to_dict,
     generate,
@@ -134,6 +136,37 @@ class TestAnalyze:
         # the capital grows at every all-B step, so the mixture peaks last
         assert Fraction(report["mixture_max"]) == Fraction(67, 64) ** 300
         assert report["argmax_step"] == 300
+
+    def test_exact_output_beyond_int_digit_limit(self, tmp_path,
+                                                 anchor_system_file):
+        # the weak strategy's capital (8000027/8000024)^n passes Python's
+        # 4300-digit int-to-str limit after about 620 all-B steps
+        weak = dict(LLN_BATTERY[0], epsilon="1/1000003")
+        battery = write_json(tmp_path, "battery.json", LLN_BATTERY + [weak])
+        seq = tmp_path / "all_b.txt"
+        write_sequence(SequencePrefix(SPACE, (1,) * 700), seq)
+        report, trajectory = tmp_path / "report.json", tmp_path / "traj.csv"
+        limit = sys.get_int_max_str_digits()
+        for out, fmt in ((report, "json"), (trajectory, "csv")):
+            code = main(["analyze", "--system", anchor_system_file, "--battery",
+                         battery, "--sequence", str(seq), "--out", str(out),
+                         "--format", fmt])
+            assert code == 3
+        assert sys.get_int_max_str_digits() == limit
+        strong = Fraction(67, 64) ** 700
+        weak_capital = Fraction(8000027, 8000024) ** 700
+        sys.set_int_max_str_digits(0)
+        try:
+            mixture_max = Fraction(json.loads(report.read_text())["mixture_max"])
+            with open(trajectory, newline="") as fh:
+                last = list(csv.reader(fh))[-1]
+            last_capital = Fraction(int(last[3]), int(last[4]))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        # mixture weights 2/3 and 1/3; both capitals grow at every step
+        assert mixture_max == (2 * strong + weak_capital) / 3
+        assert last[:3] == ["700", "B", "1"]
+        assert last_capital == weak_capital
 
     def test_missing_file_exits_one(self, tmp_path, anchor_system_file):
         battery = write_json(tmp_path, "battery.json", LLN_BATTERY)

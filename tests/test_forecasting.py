@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from imprand import (
@@ -34,8 +35,13 @@ class TestSituation:
         assert s.tokens() == ("A", "C")
 
     def test_invalid_index_rejected(self, space3):
-        with pytest.raises(ModelInvariantError):
-            Situation(space3, (3,))
+        for bad in (3, 1.9):
+            with pytest.raises(ModelInvariantError):
+                Situation(space3, (bad,))
+        # any integer type passes, stored as a Python int
+        s = Situation(space3, (np.int64(2),)).child(np.int64(1))
+        assert s.symbols == (2, 1)
+        assert all(type(i) is int for i in s.symbols)
 
     def test_child_validates_appended_index(self, space3):
         s = Situation(space3, (1,))

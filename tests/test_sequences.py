@@ -2,6 +2,7 @@ import collections
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from imprand import (
@@ -23,8 +24,12 @@ from imprand.sequences import _splitmix64_block
 
 class TestPrefix:
     def test_invalid_index_rejected(self, space3):
-        with pytest.raises(ModelInvariantError):
-            SequencePrefix(space3, (5,))
+        for bad in (5, 1.9):
+            with pytest.raises(ModelInvariantError):
+                SequencePrefix(space3, (bad,))
+        p = SequencePrefix(space3, np.array([2, 0], dtype=np.int64))
+        assert p.symbols == (2, 0)
+        assert all(type(i) is int for i in p.symbols)
 
     def test_tokens_and_situation(self, space3):
         p = SequencePrefix.from_tokens(space3, ("B", "C", "A"))
@@ -141,6 +146,15 @@ class TestSequenceFiles:
         path.write_text("# alphabet: A B\nA\n")
         with pytest.raises(ImprandError):
             read_sequence(path, SampleSpace(("A", "B", "C")))
+
+    def test_second_alphabet_header_must_agree(self, tmp_path, space3):
+        path = tmp_path / "data.txt"
+        path.write_text("# alphabet: A B C\nA A\n# alphabet: C B A\nC\n")
+        with pytest.raises(ImprandError, match=":3:"):
+            read_sequence(path)
+        # a repeated identical header is fine
+        path.write_text("# alphabet: A B C\nA A\n# alphabet: A B C\nC\n")
+        assert read_sequence(path).tokens() == ("A", "A", "C")
 
     def test_headerless_needs_space(self, tmp_path, space3):
         path = tmp_path / "data.txt"
