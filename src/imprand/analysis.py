@@ -149,8 +149,8 @@ def battery_for_gambles(
 ) -> Tuple[LLNStrategyParams, ...]:
     """Strategy family over explicit gambles: both directions, a geometric
     ladder of epsilons scaled by each gamble's bound B, and all
-    residue-class selections up to the given moduli (modulus 1 meaning
-    select-everything).
+    residue-class selections up to the given moduli (modulus 1 selects
+    every step).
 
     Ordering matters: mixture weight 2^-i penalizes battery index i by i
     bits, so stronger strategies (larger epsilon, unconditional selection)
@@ -167,10 +167,7 @@ def battery_for_gambles(
     for m in selection_moduli:
         if m < 1:
             raise ModelInvariantError(f"selection modulus must be at least 1, got {m}")
-        if m == 1:
-            selections.append(SelectionProcess.all_ones())
-        else:
-            selections.extend(SelectionProcess.residue_class(m, i) for i in range(m))
+        selections.extend(SelectionProcess.residue_class(m, i) for i in range(m))
     battery = []
     for g in gambles:
         bound = max(Fraction(1), g.spread())

@@ -193,7 +193,7 @@ def _cmd_generate(args) -> int:
             raise ParseError("adversarial generation needs --system and --battery")
         system = load_system(args.system)
         battery = _build_processes(load_battery(args.battery, system.space), system)
-        spec = GeneratorSpec.adversarial(system, battery, args.length)
+        spec = GeneratorSpec.adversarial(battery, args.length)
     prefix = generate(spec)
     write_sequence(prefix, args.out)
     print(f"wrote {len(prefix)} symbols to {args.out}")

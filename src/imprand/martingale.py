@@ -103,7 +103,7 @@ class MultiplierProcess:
 
     @classmethod
     def constant(cls, space: SampleSpace, g: Gamble) -> "MultiplierProcess":
-        return cls(space, lambda s: g)
+        return cls(space, lambda s: g, period=1)
 
 
 def difference(F: RationalProcess, s: Situation) -> Gamble:
@@ -213,9 +213,9 @@ def from_multiplier(D: MultiplierProcess) -> RationalProcess:
 class SelectionProcess:
     """A deterministic 0/1 process choosing subsequence positions.
 
-    Kinds: "all" selects every step; "residue" selects steps whose depth is
-    congruent to i mod m; "table" looks prefixes up in an explicit map with a
-    default.  ``period`` is 1, m and None respectively.
+    Kinds: "residue" selects steps whose depth is congruent to i mod m, so
+    selecting every step is residue 0 mod 1; "table" looks prefixes up in an
+    explicit map with a default.  ``period`` is m and None respectively.
     """
 
     kind: str
@@ -225,7 +225,7 @@ class SelectionProcess:
     default: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("all", "residue", "table"):
+        if self.kind not in ("residue", "table"):
             raise ModelInvariantError(f"unknown selection kind {self.kind!r}")
         if self.kind == "residue":
             if self.modulus < 1 or not 0 <= self.residue < self.modulus:
@@ -241,7 +241,7 @@ class SelectionProcess:
 
     @classmethod
     def all_ones(cls) -> "SelectionProcess":
-        return cls(kind="all")
+        return cls.residue_class(1, 0)
 
     @classmethod
     def residue_class(cls, m: int, i: int) -> "SelectionProcess":
@@ -254,15 +254,9 @@ class SelectionProcess:
 
     @property
     def period(self) -> Optional[int]:
-        if self.kind == "all":
-            return 1
-        if self.kind == "residue":
-            return self.modulus
-        return None
+        return self.modulus if self.kind == "residue" else None
 
     def selects(self, s: Situation) -> int:
-        if self.kind == "all":
-            return 1
         if self.kind == "residue":
             return 1 if s.depth % self.modulus == self.residue else 0
         for key, v in self.table or ():
@@ -385,17 +379,20 @@ def rationalize(M: ApproxProcess) -> Tuple[RationalProcess, Fraction]:
 def cap_process(M: RationalProcess, k: int) -> RationalProcess:
     """Freeze the process at 2^k once its running max along the path first
     reaches 2^k; identity below the cap.  Preserves the supermartingale
-    property."""
+    property.  A value walks its path from the root with ``child``; the
+    process being capped memoizes every prefix it is asked for."""
     if k < 0:
         raise ModelInvariantError(f"cap exponent must be non-negative, got {k}")
     cap = Fraction(2 ** k)
 
     def eval_capped(s: Situation) -> Fraction:
         # frozen at the cap as soon as the running max of M reaches it
-        for cut in range(s.depth + 1):
-            if M.value(Situation(s.space, s.symbols[:cut])) >= cap:
+        t = Situation.root(s.space)
+        for x in s.symbols:
+            if M.value(t) >= cap:
                 return cap
-        return M.value(s)
+            t = t.child(x)
+        return min(M.value(t), cap)
 
     return RationalProcess(M.space, eval_capped)
 

@@ -267,11 +267,16 @@ def _selection_from_dict(obj: dict, context: str) -> SelectionProcess:
     _require_fields(obj, {"kind"}, {"m", "i"}, context)
     kind = obj["kind"]
     if kind == "all":
+        _require_fields(obj, {"kind"}, set(), context)
         return SelectionProcess.all_ones()
     if kind == "residue":
         if "m" not in obj or "i" not in obj:
             raise ParseError(f"{context}: residue selection needs 'm' and 'i'")
-        return SelectionProcess.residue_class(int(obj["m"]), int(obj["i"]))
+        for key in ("m", "i"):
+            # bool is an int subclass; JSON true is not a modulus
+            if type(obj[key]) is not int:
+                raise ParseError(f"{context}: '{key}' must be a JSON integer, got {obj[key]!r}")
+        return SelectionProcess.residue_class(obj["m"], obj["i"])
     raise ParseError(f"{context}: unknown selection kind {kind!r}")
 
 
@@ -322,7 +327,7 @@ def load_battery(path, space: SampleSpace) -> Tuple[BatteryEntry, ...]:
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """One row per (step, strategy): exact capital plus the float mixture
-    log2 at that step.  Step 0 has no symbol."""
+    log2 at that step (-inf once the mixture is 0).  Step 0 has no symbol."""
     prefix = trajectory.prefix
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -331,7 +336,8 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
         )
         for n in range(len(prefix) + 1):
             symbol = prefix.space.symbols[prefix.symbols[n - 1]] if n > 0 else ""
-            mix_log2 = repr(log2_rational(trajectory.mixture[n]))
+            mixture = trajectory.mixture[n]
+            mix_log2 = repr(log2_rational(mixture)) if mixture else "-inf"
             for i, path_i in enumerate(trajectory.strategy_capitals):
                 c = path_i[n]
                 writer.writerow([n, symbol, i, c.numerator, c.denominator, mix_log2])

@@ -21,7 +21,7 @@ from imprand.core import (
     SampleSpace,
     SpaceMismatchError,
 )
-from imprand.forecasting import ForecastingSystem, Situation
+from imprand.forecasting import Situation
 from imprand.martingale import MultiplierProcess, mixture_weights
 
 
@@ -67,33 +67,36 @@ def _cdf_thresholds(p: ProbabilityMassFunction) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """What to generate: IID draws, depth-cyclic draws, or an adversarial
-    greedy-descent path against a strategy battery."""
+    """What to generate: depth-cyclic draws (IID draws are the cycle of one
+    mass function), or an adversarial greedy-descent path against a strategy
+    battery.  The spec is checked when it is built: the pmfs of a cyclic spec
+    or the members of an adversarial one are non-empty and share one sample
+    space."""
 
     kind: str
     length: int
     seed: int = 0
     pmfs: Tuple[ProbabilityMassFunction, ...] = ()
-    system: Optional[ForecastingSystem] = None
     battery: Tuple[MultiplierProcess, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("iid", "cyclic", "adversarial"):
+        object.__setattr__(self, "pmfs", tuple(self.pmfs))
+        object.__setattr__(self, "battery", tuple(self.battery))
+        parts = {"cyclic": self.pmfs, "adversarial": self.battery}.get(self.kind)
+        if parts is None:
             raise ModelInvariantError(f"unknown generator kind {self.kind!r}")
         if self.length < 0:
             raise ModelInvariantError(f"length must be non-negative, got {self.length}")
-        object.__setattr__(self, "pmfs", tuple(self.pmfs))
-        object.__setattr__(self, "battery", tuple(self.battery))
-        if self.kind in ("iid", "cyclic") and not self.pmfs:
-            raise ModelInvariantError(f"{self.kind} generation needs mass functions")
-        if self.kind == "iid" and len(self.pmfs) != 1:
-            raise ModelInvariantError("iid generation takes exactly one mass function")
-        if self.kind == "adversarial" and (self.system is None or not self.battery):
-            raise ModelInvariantError("adversarial generation needs a system and battery")
+        if not parts:
+            what = "mass functions" if self.kind == "cyclic" else "a battery"
+            raise ModelInvariantError(f"{self.kind} generation needs {what}")
+        for part in parts[1:]:
+            if part.space != parts[0].space:
+                raise SpaceMismatchError(parts[0].space, part.space)
 
     @classmethod
     def iid(cls, p: ProbabilityMassFunction, length: int, seed: int = 0) -> "GeneratorSpec":
-        return cls(kind="iid", length=length, seed=seed, pmfs=(p,))
+        return cls.cyclic((p,), length, seed)
 
     @classmethod
     def cyclic(
@@ -103,36 +106,19 @@ class GeneratorSpec:
 
     @classmethod
     def adversarial(
-        cls,
-        system: ForecastingSystem,
-        battery: Sequence[MultiplierProcess],
-        length: int,
+        cls, battery: Sequence[MultiplierProcess], length: int
     ) -> "GeneratorSpec":
-        return cls(
-            kind="adversarial",
-            length=length,
-            system=system,
-            battery=tuple(battery),
-        )
-
-    @property
-    def space(self) -> SampleSpace:
-        if self.kind == "adversarial":
-            return self.system.space
-        return self.pmfs[0].space
+        return cls(kind="adversarial", length=length, battery=tuple(battery))
 
 
 def generate(spec: GeneratorSpec) -> SequencePrefix:
-    """Produce a sequence; deterministic given the spec (seed included)."""
-    if spec.kind == "iid":
-        return _generate_cyclic(spec.pmfs, spec.length, spec.seed)
+    """Produce a sequence; deterministic given the spec (seed included).
+    A cyclic spec draws each depth from its phase's mass function; an
+    adversarial one descends greedily against its battery, on the battery's
+    sample space."""
     if spec.kind == "cyclic":
-        first = spec.pmfs[0].space
-        for p in spec.pmfs[1:]:
-            if p.space != first:
-                raise SpaceMismatchError(first, p.space)
         return _generate_cyclic(spec.pmfs, spec.length, spec.seed)
-    return _generate_adversarial(spec.system, spec.battery, spec.length)
+    return _generate_adversarial(spec.battery, spec.length)
 
 
 def _generate_cyclic(
@@ -150,18 +136,13 @@ def _generate_cyclic(
 
 
 def _generate_adversarial(
-    system: ForecastingSystem,
-    battery: Tuple[MultiplierProcess, ...],
-    length: int,
+    battery: Tuple[MultiplierProcess, ...], length: int
 ) -> SequencePrefix:
     """Greedy descent: at each situation pick the symbol minimizing the exact
     renormalized mixture capital, ties broken by symbol order.  The mixture
     never exceeds 1 along the result, and battery member i stays below the
     reciprocal of its mixture weight."""
-    space = system.space
-    for member in battery:
-        if member.space != space:
-            raise SpaceMismatchError(space, member.space)
+    space = battery[0].space
     # weighted capitals w_i * c_i; every capital starts at 1
     weighted = list(mixture_weights(len(battery)))
     s = Situation.root(space)
@@ -191,9 +172,20 @@ def _generate_adversarial(
 _HEADER_PREFIX = "# alphabet:"
 
 
+def _check_symbols(space: SampleSpace, context) -> None:
+    """A data line starting with '#' reads as a comment, so no symbol may."""
+    for t in space.symbols:
+        if t.startswith("#"):
+            raise ImprandError(
+                f"{context}: symbol {t!r} starts with '#', which sequence files "
+                "read as a comment"
+            )
+
+
 def write_sequence(prefix: SequencePrefix, path) -> None:
     """Whitespace-separated UTF-8 tokens with an alphabet header; wraps long
-    sequences for readability."""
+    sequences for readability.  No symbol may start with '#'."""
+    _check_symbols(prefix.space, path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{_HEADER_PREFIX} {' '.join(prefix.space.symbols)}\n")
         tokens = prefix.tokens()
@@ -203,7 +195,10 @@ def write_sequence(prefix: SequencePrefix, path) -> None:
 
 def read_sequence(path, space: Optional[SampleSpace] = None) -> SequencePrefix:
     """Parse a sequence file; the alphabet comes from the header unless a
-    space is supplied, in which case the two must agree."""
+    space is supplied, in which case the two must agree.  Lines starting
+    with '#' are comments, so neither alphabet may have a symbol that does."""
+    if space is not None:
+        _check_symbols(space, path)
     header_space = None
     symbols: List[int] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -216,6 +211,7 @@ def read_sequence(path, space: Optional[SampleSpace] = None) -> SequencePrefix:
                     declared = SampleSpace(
                         tuple(stripped[len(_HEADER_PREFIX) :].split())
                     )
+                    _check_symbols(declared, f"{path}:{lineno}")
                     if header_space is not None and declared != header_space:
                         # the symbols read so far were indexed in the first one
                         raise ImprandError(

@@ -320,7 +320,7 @@ def test_adversarial_sequence_defeats_its_battery(space3m):
     battery = [lln_strategy(p, sys) for p in params]
     weights = mixture_weights(len(battery))
 
-    seq = generate(GeneratorSpec.adversarial(sys, battery, 1000))
+    seq = generate(GeneratorSpec.adversarial(battery, 1000))
     capitals = [Fraction(1)] * len(battery)
     for n in range(len(seq)):
         s = seq.situation(n)

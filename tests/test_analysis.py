@@ -140,7 +140,7 @@ class TestRunBattery:
         walks = {
             "run_battery": lambda unit: run_battery(prefix, anchor_sys, [unit]),
             "adversarial": lambda unit: generate(
-                GeneratorSpec.adversarial(anchor_sys, [unit], 4000)),
+                GeneratorSpec.adversarial([unit], 4000)),
         }
         peaks = {}
         for name, walk in walks.items():
@@ -212,7 +212,7 @@ class TestDefaultBattery:
         assert first.f == Gamble.indicator(space3, "A")
         assert first.direction == "lower"
         assert first.epsilon == Fraction(1, 2)
-        assert first.selection.kind == "all"
+        assert first.selection == SelectionProcess.all_ones()
 
     @pytest.mark.parametrize("moduli, bad", [((1, -3, 0), "-3"), ((0,), "0")])
     def test_rejects_modulus_below_one(self, space3, moduli, bad):

@@ -168,6 +168,34 @@ class TestAnalyze:
         assert last[:3] == ["700", "B", "1"]
         assert last_capital == weak_capital
 
+    def test_zero_mixture_csv_writes_minus_inf(self, tmp_path):
+        # factors need only be non-negative; after A the only member is at 0
+        battery = write_json(tmp_path, "battery.json", [
+            {"type": "multiplier", "rows": [], "default": ["0", "1", "1"]}])
+        system = write_json(tmp_path, "system.json", {
+            "kind": "stationary",
+            "models": [{"alphabet": ["A", "B", "C"], "kind": "vacuous"}]})
+        seq = tmp_path / "ab.txt"
+        seq.write_text("# alphabet: A B C\nA B\n")
+        out = tmp_path / "traj.csv"
+        code = main(["analyze", "--system", system, "--battery", battery,
+                     "--sequence", str(seq), "--out", str(out)])
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1] == ["0", "", "0", "1", "1", "0.0"]
+        assert rows[2] == ["1", "A", "0", "0", "1", "-inf"]
+        assert rows[3] == ["2", "B", "0", "0", "1", "-inf"]
+
+    def test_non_integer_selection_modulus_exits_one(self, tmp_path,
+                                                     anchor_system_file,
+                                                     iid_sequence_file):
+        entry = dict(LLN_BATTERY[0], selection={"kind": "residue", "m": "x", "i": 0})
+        battery = write_json(tmp_path, "battery.json", [entry])
+        code = main(["analyze", "--system", anchor_system_file,
+                     "--battery", battery, "--sequence", iid_sequence_file])
+        assert code == 1
+
     def test_missing_file_exits_one(self, tmp_path, anchor_system_file):
         battery = write_json(tmp_path, "battery.json", LLN_BATTERY)
         code = main(["analyze", "--system", anchor_system_file,

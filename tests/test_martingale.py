@@ -95,6 +95,7 @@ class TestClassify:
 class TestFromMultiplier:
     def test_constant_one(self, space3):
         D = MultiplierProcess.constant(space3, Gamble.constant(space3, 1))
+        assert D.period == 1
         M = from_multiplier(D)
         for s in iter_situations(space3, 3):
             assert M.value(s) == 1
@@ -133,6 +134,7 @@ class TestSelection:
     def test_all_ones(self, space3):
         sel = SelectionProcess.all_ones()
         assert sel.selects(Situation(space3, (0, 1))) == 1
+        assert sel == SelectionProcess.residue_class(1, 0)
 
     def test_residue_class(self, space3):
         sel = SelectionProcess.residue_class(3, 1)
@@ -318,6 +320,24 @@ class TestCapAndMix:
         capped = cap_process(M, 1)
         assert capped.value(Situation(space3, (1, 1))) == 2
         assert capped.value(Situation(space3, (1, 1, 0))) == 2
+
+    def test_cap_crossed_midway_on_a_long_path(self, space3, halving_multiplier):
+        # B B A blocks grow the capital by 9/8 (to about 2^56.6 at depth
+        # 999), then every A halves it: the cap 2^56 is crossed midway
+        path = (1, 1, 0) * 333 + (0,) * 1001
+        capped = cap_process(from_multiplier(halving_multiplier), 56)
+        cap = Fraction(2 ** 56)
+        factors = (Fraction(1, 2), Fraction(3, 2), Fraction(1, 2))
+        capital, running_max, expected = Fraction(1), Fraction(1), [Fraction(1)]
+        for x in path:
+            capital *= factors[x]
+            running_max = max(running_max, capital)
+            expected.append(cap if running_max >= cap else capital)
+        crossing = expected.index(cap)
+        assert 900 < crossing < 1000 and capital < 1
+        for depth in (crossing - 1, crossing, crossing + 1, len(path)):
+            s = Situation(space3, path[:depth])
+            assert capped.value(s) == expected[depth]
 
     def test_cap_preserves_supermartingale(self, space3, envelope3, halving_multiplier):
         M = from_multiplier(halving_multiplier)

@@ -235,6 +235,22 @@ class TestBatteryJson:
             battery_from_list([entry], space3)
 
 
+    @pytest.mark.parametrize("selection, field", [
+        ({"kind": "residue", "m": 2.7, "i": 1.9}, "'m'"),
+        ({"kind": "residue", "m": 2, "i": 1.0}, "'i'"),
+        ({"kind": "residue", "m": True, "i": 0}, "'m'"),
+        ({"kind": "residue", "m": "x", "i": 0}, "'m'"),
+        ({"kind": "residue", "m": 2, "i": None}, "'i'"),
+        ({"kind": "all", "m": 1}, "'m'"),
+        ({"kind": "all", "i": 0}, "'i'"),
+    ], ids=["float", "float-i", "bool", "string", "null-i", "all-with-m", "all-with-i"])
+    def test_selection_fields_must_be_integers(self, space3, selection, field):
+        entry = {"type": "lln", "gamble": ["1", "0", "0"], "direction": "lower",
+                 "epsilon": "1/8", "selection": selection}
+        with pytest.raises(ParseError, match=field):
+            battery_from_list([entry], space3)
+
+
 class TestTrajectoryCsv:
     def test_shape_and_exactness(self, space3, envelope3, halving_multiplier,
                                  tmp_path):

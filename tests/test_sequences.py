@@ -17,7 +17,7 @@ from imprand import (
     read_sequence,
     write_sequence,
 )
-from imprand.core import ImprandError, ModelInvariantError
+from imprand.core import ImprandError, ModelInvariantError, SpaceMismatchError
 from imprand.martingale import mixture_weights
 from imprand.sequences import _splitmix64_block
 
@@ -96,7 +96,7 @@ class TestGenerate:
                                                halving_multiplier):
         sys = StationarySystem(envelope3)
         battery = [halving_multiplier]
-        seq = generate(GeneratorSpec.adversarial(sys, battery, 200))
+        seq = generate(GeneratorSpec.adversarial(battery, 200))
         capital = Fraction(1)
         for n in range(len(seq)):
             capital *= halving_multiplier.factor(seq.situation(n))[seq.symbols[n]]
@@ -105,7 +105,7 @@ class TestGenerate:
     def test_adversarial_rejects_non_positive_battery(self, space3, envelope3):
         dead = MultiplierProcess(
             space3, lambda s: Gamble(space3, (Fraction(0), Fraction(1), Fraction(1))))
-        spec = GeneratorSpec.adversarial(StationarySystem(envelope3), [dead], 5)
+        spec = GeneratorSpec.adversarial([dead], 5)
         with pytest.raises(ModelInvariantError):
             generate(spec)
 
@@ -116,6 +116,19 @@ class TestGenerate:
             GeneratorSpec.iid(vertices3[0], -1)
         with pytest.raises(ModelInvariantError):
             GeneratorSpec(kind="iid", length=5, pmfs=vertices3)
+        # every check is made when the spec is built, not in generate
+        with pytest.raises(ModelInvariantError, match="needs mass functions"):
+            GeneratorSpec.cyclic((), 5)
+        with pytest.raises(ModelInvariantError, match="needs a battery"):
+            GeneratorSpec.adversarial((), 5)
+        space2 = SampleSpace(("A", "B"))
+        with pytest.raises(SpaceMismatchError):
+            GeneratorSpec.cyclic(
+                (vertices3[0], ProbabilityMassFunction(space2, (1, 0))), 5)
+        members = [MultiplierProcess.constant(sp, Gamble.constant(sp, 1))
+                   for sp in (space3, space2)]
+        with pytest.raises(SpaceMismatchError):
+            GeneratorSpec.adversarial(members, 5)
 
 
 class TestSequenceFiles:
@@ -155,6 +168,20 @@ class TestSequenceFiles:
         # a repeated identical header is fine
         path.write_text("# alphabet: A B C\nA A\n# alphabet: A B C\nC\n")
         assert read_sequence(path).tokens() == ("A", "A", "C")
+
+    def test_symbols_starting_with_hash_rejected(self, tmp_path):
+        # data lines starting with '#' would read back as comments
+        space = SampleSpace(("#", "A"))
+        path = tmp_path / "data.txt"
+        with pytest.raises(ImprandError, match="'#'"):
+            write_sequence(SequencePrefix(space, (0, 1, 0, 0)), path)
+        assert not path.exists()
+        path.write_text("# alphabet: A B\nA B\n")
+        with pytest.raises(ImprandError, match="'#x'"):
+            read_sequence(path, SampleSpace(("A", "#x")))
+        path.write_text("# alphabet: #x A\nA\n")
+        with pytest.raises(ImprandError, match=":1:.*'#x'"):
+            read_sequence(path)
 
     def test_headerless_needs_space(self, tmp_path, space3):
         path = tmp_path / "data.txt"
