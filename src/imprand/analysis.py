@@ -78,10 +78,10 @@ def run_battery(
 
     With ``audit_depth`` set, every battery member's generated process is
     first classified to that depth and rejected unless it is a test
-    supermartingale for the system.  The battery is split into at most
-    ``threads`` contiguous groups (``threads >= 1``), each walked on its own
-    worker thread; a group builds one situation per step and shares it
-    among its members.
+    supermartingale for the system.  Members of one period walk the prefix
+    together, sharing one situation per step (the phase's, or every prefix
+    situation without a period); the walks of different periods run on a
+    pool of ``threads`` worker threads (``threads >= 1``).
     """
     battery = list(battery)
     if not battery:
@@ -104,10 +104,11 @@ def run_battery(
 
     weights = mixture_weights(len(battery))
 
-    def capital_paths(members: Sequence[MultiplierProcess]) -> List[List[Fraction]]:
+    def capital_paths(period: Optional[int]) -> List[List[Fraction]]:
+        members = [D for D in battery if D.period == period]
         paths = [[Fraction(1)] for _ in members]
         for n, x in enumerate(prefix.symbols):
-            s = prefix.situation(n)
+            s = prefix.situation(n if period is None else n % period)
             for member, path in zip(members, paths):
                 path.append(path[-1] * member.factor(s)[x])
         return paths
@@ -115,10 +116,10 @@ def run_battery(
     # imported here: it would add about 6 ms to every import of imprand
     from concurrent.futures import ThreadPoolExecutor
 
-    size = -(-len(battery) // threads)
-    groups = [battery[i : i + size] for i in range(0, len(battery), size)]
-    with ThreadPoolExecutor(max_workers=len(groups)) as pool:
-        capitals = [path for paths in pool.map(capital_paths, groups) for path in paths]
+    periods = list(dict.fromkeys(D.period for D in battery))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        paths = dict(zip(periods, map(iter, pool.map(capital_paths, periods))))
+    capitals = [next(paths[D.period]) for D in battery]
 
     mixture = []
     for n in range(len(prefix) + 1):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from imprand.core import (
     Gamble,
@@ -33,26 +33,46 @@ from imprand.forecasting import (
 )
 
 
-class RationalProcess:
-    """An exact rational-valued function on situations, memoized per path.
+class _Memo:
+    """The memo rule of both process kinds: with a ``period``, one value per phase
+    (depth mod period) for life; else one per path at the two adjacent depths that
+    a walk or a breadth-first sweep asks again.  Values are pure, so a race between
+    threads costs at most a recomputation."""
 
-    Memoization relies on the GIL for safety; evaluation functions must be
-    pure (same situation, same value).
-    """
-
-    def __init__(self, space: SampleSpace, fn: Callable[[Situation], Fraction]):
+    def __init__(self, space: SampleSpace, fn: Callable):
         self.space = space
+        self.period: Optional[int] = None
         self._fn = fn
-        self._memo: Dict[Tuple[int, ...], Fraction] = {}
+        self._memo: dict = {}  # phase -> value, or path -> value at depth _depth
+        self._above: dict = {}  # path -> value at depth _depth - 1
+        self._depth = 0
+
+    def _cached(self, path: Tuple[int, ...]):
+        if self.period is not None:
+            return self._memo.get(len(path) % self.period)
+        return (self._memo if len(path) == self._depth else self._above).get(path)
+
+    def _keep(self, path: Tuple[int, ...], value) -> None:
+        if self.period is not None:
+            self._memo[len(path) % self.period] = value
+        elif self._depth - 1 <= len(path) <= self._depth:
+            (self._memo if len(path) == self._depth else self._above)[path] = value
+        else:  # a new depth keeps only the one above it
+            self._above = self._memo if len(path) == self._depth + 1 else {}
+            self._memo, self._depth = {path: value}, len(path)
+
+
+class RationalProcess(_Memo):
+    """An exact rational-valued function on situations, memoized per path at
+    two adjacent depths (a capital process is not depth-periodic)."""
 
     def value(self, s: Situation) -> Fraction:
         if s.space != self.space:
             raise SpaceMismatchError(self.space, s.space)
-        key = s.symbols
-        cached = self._memo.get(key)
+        cached = self._cached(s.symbols)
         if cached is None:
             cached = as_rational(self._fn(s))
-            self._memo[key] = cached
+            self._keep(s.symbols, cached)
         return cached
 
     @classmethod
@@ -61,15 +81,9 @@ class RationalProcess:
         return cls(space, lambda s: c)
 
 
-class MultiplierProcess:
+class MultiplierProcess(_Memo):
     """A map from situations to non-negative gambles (one-step betting
-    factors).
-
-    With ``period`` set, the factor depends on the depth mod period alone
-    and is memoized per phase.  Otherwise only the last situation's factor
-    is kept: a walk holds one factor, not one per prefix, and a sweep, which
-    asks a parent's factor once per child in a row, computes one per node.
-    """
+    factors); with ``period`` set, a factor depends on the depth mod period alone."""
 
     def __init__(
         self,
@@ -77,28 +91,22 @@ class MultiplierProcess:
         fn: Callable[[Situation], Gamble],
         period: Optional[int] = None,
     ):
-        self.space = space
+        super().__init__(space, fn)
         self.period = period
-        self._fn = fn
-        self._memo: Dict[object, Gamble] = {}
 
     def factor(self, s: Situation) -> Gamble:
         if s.space != self.space:
             raise SpaceMismatchError(self.space, s.space)
-        key = s.symbols if self.period is None else s.depth % self.period
-        cached = self._memo.get(key)
+        cached = self._cached(s.symbols)
         if cached is None:
-            g = self._fn(s)
-            if g.space != self.space:
-                raise SpaceMismatchError(self.space, g.space)
-            if g.minimum() < 0:
+            cached = self._fn(s)
+            if cached.space != self.space:
+                raise SpaceMismatchError(self.space, cached.space)
+            if (low := cached.minimum()) < 0:
                 raise ModelInvariantError(
-                    f"multiplier at {s.tokens()!r} takes negative value {g.minimum()}"
+                    f"multiplier at {s.tokens()!r} takes negative value {low}"
                 )
-            cached = g
-            if self.period is None:
-                self._memo.clear()
-            self._memo[key] = cached
+            self._keep(s.symbols, cached)
         return cached
 
     @classmethod
@@ -184,28 +192,18 @@ def classify_process(
 
 def from_multiplier(D: MultiplierProcess) -> RationalProcess:
     """Capital process generated by a multiplier: root value 1, child value
-    parent value times the parent's factor at the taken symbol."""
+    parent value times the parent's factor at the taken symbol.  A value
+    costs one factor call when its parent's is kept, else a walk from the root."""
 
-    process = RationalProcess(D.space, lambda s: Fraction(0))  # fn replaced below
-    memo = process._memo
-
-    def eval_capital(s: Situation) -> Fraction:
-        # one factor call from a memoized parent (a sweep that visits parents
-        # first); otherwise a walk from the root that memoizes nothing, so a
-        # deep path costs neither recursion nor a memo entry per prefix
+    def capital(s: Situation) -> Fraction:
         path = s.symbols
-        up = path[:-1]
-        parent = memo.get(up) if path else None
-        if parent is not None:
-            return parent * D.factor(Situation._trusted(s.space, up))[path[-1]]
-        value = Fraction(1)
-        t = Situation.root(s.space)
-        for x in path:
-            value *= D.factor(t)[x]
-            t = t.child(x)
+        up = process._cached(path[:-1]) if path else None
+        start, value = (len(path) - 1, up) if up is not None else (0, Fraction(1))
+        for n in range(start, len(path)):
+            value *= D.factor(Situation._trusted(s.space, path[:n]))[path[n]]
         return value
 
-    process._fn = eval_capital
+    process = RationalProcess(D.space, capital)
     return process
 
 
@@ -379,22 +377,22 @@ def rationalize(M: ApproxProcess) -> Tuple[RationalProcess, Fraction]:
 def cap_process(M: RationalProcess, k: int) -> RationalProcess:
     """Freeze the process at 2^k once its running max along the path first
     reaches 2^k; identity below the cap.  Preserves the supermartingale
-    property.  A value walks its path from the root with ``child``; the
-    process being capped memoizes every prefix it is asked for."""
+    property.  A value reads its parent's when that is kept (a walk or a
+    sweep), else walks M along the path's proper prefixes up to the cap."""
     if k < 0:
         raise ModelInvariantError(f"cap exponent must be non-negative, got {k}")
     cap = Fraction(2 ** k)
 
     def eval_capped(s: Situation) -> Fraction:
+        path = s.symbols
+        up = capped._cached(path[:-1]) if path else None
         # frozen at the cap as soon as the running max of M reaches it
-        t = Situation.root(s.space)
-        for x in s.symbols:
-            if M.value(t) >= cap:
-                return cap
-            t = t.child(x)
-        return min(M.value(t), cap)
+        prefixes = (Situation._trusted(s.space, path[:n]) for n in range(len(path)))
+        frozen = any(M.value(t) >= cap for t in prefixes) if up is None else up == cap
+        return cap if frozen else min(M.value(s), cap)
 
-    return RationalProcess(M.space, eval_capped)
+    capped = RationalProcess(M.space, eval_capped)
+    return capped
 
 
 def mix(processes: Sequence[RationalProcess]) -> RationalProcess:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from imprand.core import (
     Gamble,
@@ -95,7 +95,7 @@ def model_from_dict(obj: dict, context: str = "model") -> LowerExpectation:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ParseError(f"{context}: missing 'kind'")
     kind = obj["kind"]
-    if kind not in _MODEL_FIELDS:
+    if not isinstance(kind, str) or kind not in _MODEL_FIELDS:
         raise ParseError(f"{context}: unknown kind {kind!r}")
     _require_fields(obj, {"alphabet", "kind"} | _MODEL_FIELDS[kind], set(), context)
     space = _space_from(obj, context)
@@ -172,7 +172,7 @@ def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
@@ -182,6 +182,24 @@ def _dump_json(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _situation_rows(rows, field: str, space: SampleSpace, context: str, parse) -> dict:
+    """Rows {"situation": token list, field: value}, each situation given once."""
+    if not isinstance(rows, list):
+        raise ParseError(f"{context}: expected a list of rows")
+    table: dict = {}
+    for idx, row in enumerate(rows):
+        where = f"{context}[{idx}]"
+        _require_fields(row, {"situation", field}, set(), where)
+        tokens = row["situation"]
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise ParseError(f"{where}: 'situation' must be a list of token strings")
+        key = tuple(space.index_of(t) for t in tokens)
+        if key in table:
+            raise ParseError(f"{where}: situation {tokens} is given twice")
+        table[key] = parse(row[field], where)
+    return table
 
 
 def system_from_dict(obj: dict, context: str = "system") -> ForecastingSystem:
@@ -203,17 +221,7 @@ def system_from_dict(obj: dict, context: str = "system") -> ForecastingSystem:
     if kind == "table":
         _require_fields(obj, {"kind", "table", "default"}, set(), context)
         default = model_from_dict(obj["default"], context)
-        table: Dict[Tuple[int, ...], LowerExpectation] = {}
-        rows = obj["table"]
-        if not isinstance(rows, list):
-            raise ParseError(f"{context}: 'table' must be a list")
-        for row in rows:
-            _require_fields(row, {"situation", "model"}, set(), context)
-            tokens = row["situation"]
-            if not isinstance(tokens, list):
-                raise ParseError(f"{context}: 'situation' must be a token list")
-            key = tuple(default.space.index_of(t) for t in tokens)
-            table[key] = model_from_dict(row["model"], context)
+        table = _situation_rows(obj["table"], "model", default.space, context, model_from_dict)
         return TableSystem(table=table, default=default)
     raise ParseError(f"{context}: unknown system kind {kind!r}")
 
@@ -308,11 +316,8 @@ def battery_from_list(
         elif entry["type"] == "multiplier":
             _require_fields(entry, {"type", "rows", "default"}, set(), where)
             default = Gamble(space, _rational_vector(entry["default"], where))
-            rows: Dict[Tuple[int, ...], Gamble] = {}
-            for row in entry["rows"]:
-                _require_fields(row, {"situation", "factor"}, set(), where)
-                key = tuple(space.index_of(t) for t in row["situation"])
-                rows[key] = Gamble(space, _rational_vector(row["factor"], where))
+            rows = _situation_rows(entry["rows"], "factor", space, where,
+                                   lambda v, at: Gamble(space, _rational_vector(v, at)))
             out.append(
                 MultiplierProcess(space, lambda s, r=rows, d=default: r.get(s.symbols, d))
             )

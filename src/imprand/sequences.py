@@ -201,39 +201,41 @@ def read_sequence(path, space: Optional[SampleSpace] = None) -> SequencePrefix:
         _check_symbols(space, path)
     header_space = None
     symbols: List[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if stripped.startswith("#"):
-                if stripped.startswith(_HEADER_PREFIX):
-                    declared = SampleSpace(
-                        tuple(stripped[len(_HEADER_PREFIX) :].split())
-                    )
-                    _check_symbols(declared, f"{path}:{lineno}")
-                    if header_space is not None and declared != header_space:
-                        # the symbols read so far were indexed in the first one
-                        raise ImprandError(
-                            f"{path}:{lineno}: alphabet {declared.symbols!r} differs "
-                            f"from the earlier header's {header_space.symbols!r}"
-                        )
-                    header_space = declared
-                continue
-            if space is None and header_space is None:
-                raise ImprandError(
-                    f"{path}:{lineno}: data before any '{_HEADER_PREFIX}' header "
-                    "and no alphabet supplied"
-                )
-            current = space or header_space
-            for token in stripped.split():
-                try:
-                    symbols.append(current.index_of(token))
-                except ModelInvariantError:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ImprandError(f"{path}: not UTF-8 text: {exc}") from None
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        if stripped.startswith("#"):
+            if stripped.startswith(_HEADER_PREFIX):
+                declared = SampleSpace(tuple(stripped[len(_HEADER_PREFIX) :].split()))
+                _check_symbols(declared, f"{path}:{lineno}")
+                if header_space is not None and declared != header_space:
+                    # the symbols read so far were indexed in the first one
                     raise ImprandError(
-                        f"{path}:{lineno}: token {token!r} not in alphabet "
-                        f"{current.symbols!r}"
-                    ) from None
+                        f"{path}:{lineno}: alphabet {declared.symbols!r} differs "
+                        f"from the earlier header's {header_space.symbols!r}"
+                    )
+                header_space = declared
+            continue
+        if space is None and header_space is None:
+            raise ImprandError(
+                f"{path}:{lineno}: data before any '{_HEADER_PREFIX}' header "
+                "and no alphabet supplied"
+            )
+        current = space or header_space
+        for token in stripped.split():
+            try:
+                symbols.append(current.index_of(token))
+            except ModelInvariantError:
+                raise ImprandError(
+                    f"{path}:{lineno}: token {token!r} not in alphabet "
+                    f"{current.symbols!r}"
+                ) from None
     if header_space is not None and space is not None and header_space != space:
         raise SpaceMismatchError(space, header_space)
     final = space or header_space

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from sys import getswitchinterval, setswitchinterval
 
 import pytest
 
@@ -99,22 +100,47 @@ class TestRunBattery:
 
     def test_threads_agree_with_serial(self, space3, anchor_sys,
                                        halving_multiplier):
-        # six members, so every thread count splits them into several
-        # groups whose paths must come back in battery order
+        # six members of several periods on fewer threads, whose paths must
+        # come back in battery order; the second battery holds two member
+        # objects twice, and threads switch as often as they can
         battery = [lln_strategy(p, anchor_sys) for p in default_battery(space3)[:5]]
         battery.append(halving_multiplier)
         prefix = SequencePrefix(space3, (1, 0, 1, 1, 2, 0) * 10)
-        a = run_battery(prefix, anchor_sys, battery, threads=1)
-        for threads in (2, 3, 4):
-            b = run_battery(prefix, anchor_sys, battery, threads=threads)
-            assert b.strategy_capitals == a.strategy_capitals
-            assert b.mixture == a.mixture
-            assert b.argmax_step == a.argmax_step
+        interval = getswitchinterval()
+        setswitchinterval(1e-6)
+        try:
+            for members in (battery, battery + [halving_multiplier, battery[0]]):
+                a = run_battery(prefix, anchor_sys, members, threads=1)
+                for threads in (2, 3, 4):
+                    b = run_battery(prefix, anchor_sys, members, threads=threads)
+                    assert b.strategy_capitals == a.strategy_capitals
+                    assert b.mixture == a.mixture
+                    assert b.argmax_step == a.argmax_step
+        finally:
+            setswitchinterval(interval)
 
     def test_threads_must_be_positive(self, space3, anchor_sys, anchor_strategy):
         with pytest.raises(ModelInvariantError):
             run_battery(SequencePrefix(space3, (0,)), anchor_sys, [anchor_strategy],
                         threads=0)
+
+    def test_members_are_asked_at_their_phase(self, space3, anchor_sys):
+        class Recording(MultiplierProcess):
+            def factor(self, s):
+                self.asked.append(s)
+                return super().factor(s)
+
+        one = Gamble.constant(space3, 1)
+        periodic = Recording(space3, lambda s: one, period=3)
+        path_keyed = Recording(space3, lambda s: one)
+        other = Recording(space3, lambda s: one)
+        periodic.asked, path_keyed.asked, other.asked = [], [], []
+        run_battery(SequencePrefix(space3, (1, 0, 2, 2) * 5), anchor_sys,
+                    [path_keyed, periodic, other])
+        assert [s.depth for s in periodic.asked] == [n % 3 for n in range(20)]
+        assert [s.depth for s in path_keyed.asked] == list(range(20))
+        # the members without a period share one situation per step
+        assert all(s is t for s, t in zip(path_keyed.asked, other.asked, strict=True))
 
     def test_memory_is_linear_in_steps(self, space3, anchor_sys):
         # a unit-factor member keeps every capital at 1, so the peak is the

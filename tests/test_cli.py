@@ -196,6 +196,29 @@ class TestAnalyze:
                      "--battery", battery, "--sequence", iid_sequence_file])
         assert code == 1
 
+    def test_multiplier_situation_string_exits_one(self, tmp_path, anchor_system_file,
+                                                   iid_sequence_file, capsys):
+        entry = dict(HALVING_BATTERY[0],
+                     rows=[{"situation": "AB", "factor": ["1", "1", "1"]}])
+        battery = write_json(tmp_path, "battery.json", [entry])
+        code = main(["analyze", "--system", anchor_system_file,
+                     "--battery", battery, "--sequence", iid_sequence_file])
+        assert code == 1
+        assert f"{battery}[0][0]: 'situation'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["sequence", "battery"])
+    def test_non_utf8_file_exits_one(self, tmp_path, anchor_system_file,
+                                     iid_sequence_file, capsys, bad):
+        files = {"sequence": iid_sequence_file,
+                 "battery": write_json(tmp_path, "battery.json", LLN_BATTERY)}
+        with open(files[bad], "ab") as fh:
+            fh.write(b"\xff\n")
+        code = main(["analyze", "--system", anchor_system_file,
+                     "--battery", files["battery"], "--sequence", files["sequence"]])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {files[bad]}: ") and "utf-8" in err
+
     def test_missing_file_exits_one(self, tmp_path, anchor_system_file):
         battery = write_json(tmp_path, "battery.json", LLN_BATTERY)
         code = main(["analyze", "--system", anchor_system_file,

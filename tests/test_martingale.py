@@ -339,6 +339,26 @@ class TestCapAndMix:
             s = Situation(space3, path[:depth])
             assert capped.value(s) == expected[depth]
 
+    def test_cold_deep_cap_holds_two_depths(self, space3):
+        # all-A data against the "at least 3/4 A" forecast shrinks the capital
+        # by 63/64 per step, so the cap is never reached; keeping the value of
+        # every prefix the walk asks for took about 19 MiB at depth 2000
+        f = Gamble.indicator(space3, "A")
+        sys = StationarySystem(AnchorGammaModel(anchor=f, gamma=Fraction(3, 4)))
+        D = lln_strategy(
+            LLNStrategyParams(f=f, direction="lower", epsilon=Fraction(1, 8),
+                              selection=SelectionProcess.all_ones()), sys)
+        capped = cap_process(from_multiplier(D), 10)
+        s = Situation(space3, (0,) * 2000)
+        tracemalloc.start()
+        try:
+            value = capped.value(s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value == Fraction(63, 64) ** 2000
+        assert peak < 2 * 2 ** 20
+
     def test_cap_preserves_supermartingale(self, space3, envelope3, halving_multiplier):
         M = from_multiplier(halving_multiplier)
         report = classify_process(cap_process(M, 1), StationarySystem(envelope3), 5)

@@ -116,6 +116,10 @@ class TestModelJson:
         with pytest.raises(ParseError, match="two-element"):
             model_from_dict(obj)
 
+    def test_kind_must_be_a_string(self):
+        with pytest.raises(ParseError, match=r"m\.json: unknown kind"):
+            model_from_dict({"alphabet": ALPHABET, "kind": ["vacuous"]}, "m.json")
+
     def test_alphabet_must_be_strings(self):
         with pytest.raises(ParseError, match="alphabet"):
             model_from_dict({"alphabet": [1, 2], "kind": "vacuous"})
@@ -127,6 +131,25 @@ class TestModelJson:
         bad.write_text("{not json")
         with pytest.raises(ParseError, match="invalid JSON"):
             load_model(bad)
+
+
+# malformed situation rows, shared by system tables and multiplier entries;
+# each row gets its value field ("model" or "factor") added by the test
+SITUATION_ROW_CASES = {
+    "rows-not-a-list": (5, r": expected a list of rows"),
+    "situation-not-a-list": ([{"situation": 5}], r"\[0\]: 'situation' must be a list"),
+    "situation-a-string": ([{"situation": "AB"}], r"\[0\]: 'situation' must be a list"),
+    "situation-not-strings": ([{"situation": [0]}], r"\[0\]: 'situation' must be a list"),
+    "situation-twice": ([{"situation": ["A", "B"]}, {"situation": ["C"]},
+                         {"situation": ["A", "B"]}], r"\[2\]: situation .* given twice"),
+}
+
+
+def situation_rows(case, field, value):
+    rows, message = SITUATION_ROW_CASES[case]
+    if isinstance(rows, list):
+        rows = [dict(row, **{field: value}) for row in rows]
+    return rows, message
 
 
 class TestSystemJson:
@@ -171,6 +194,15 @@ class TestSystemJson:
         }
         with pytest.raises(ModelInvariantError):
             system_from_dict(d)
+
+    @pytest.mark.parametrize("case", SITUATION_ROW_CASES)
+    def test_table_rows_must_be_situation_lists_given_once(self, space3, envelope3,
+                                                          case):
+        rows, message = situation_rows(case, "model", model_to_dict(envelope3))
+        d = {"kind": "table", "default": model_to_dict(VacuousModel(space3)),
+             "table": rows}
+        with pytest.raises(ParseError, match=r"^sys\.json" + message):
+            system_from_dict(d, context="sys.json")
 
 
 class TestGambleJson:
@@ -219,6 +251,15 @@ class TestBatteryJson:
             Fraction(1, 2), Fraction(3, 2), Fraction(1, 2))
         assert proc.factor(Situation(space3, (1,))).values == (
             Fraction(1), Fraction(1), Fraction(1))
+
+    @pytest.mark.parametrize("case", SITUATION_ROW_CASES)
+    def test_multiplier_rows_must_be_situation_lists_given_once(self, space3, case):
+        rows, message = situation_rows(case, "factor", ["1", "1", "1"])
+        entry = {"type": "multiplier", "default": ["1", "1", "1"], "rows": rows}
+        lln = {"type": "lln", "gamble": ["1", "0", "0"], "direction": "lower",
+               "epsilon": "1/8", "selection": {"kind": "all"}}
+        with pytest.raises(ParseError, match=r"^b\.json\[1\]" + message):
+            battery_from_list([lln, entry], space3, context="b.json")
 
     def test_empty_battery_rejected(self, space3):
         with pytest.raises(ParseError):
