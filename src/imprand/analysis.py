@@ -44,8 +44,6 @@ from imprand.martingale import (
     LLNStrategyParams,
     MultiplierProcess,
     SelectionProcess,
-    classify_process,
-    from_multiplier,
     lln_strategy,
     mixture_weights,
 )
@@ -71,36 +69,21 @@ def run_battery(
     prefix: SequencePrefix,
     sys: ForecastingSystem,
     battery: Sequence[MultiplierProcess],
-    audit_depth: Optional[int] = None,
     threads: int = 1,
 ) -> Trajectory:
-    """Exact battery evaluation along a prefix.
-
-    With ``audit_depth`` set, every battery member's generated process is
-    first classified to that depth and rejected unless it is a test
-    supermartingale for the system.  Members of one period walk the prefix
-    together, sharing one situation per step (the phase's, or every prefix
-    situation without a period); the walks of different periods run on a
-    pool of ``threads`` worker threads (``threads >= 1``).
-    """
+    """Exact battery evaluation along a prefix; it only walks (an audit of a
+    member is ``classify_process(from_multiplier(member), sys, depth)``).
+    Members of one period walk the prefix together, sharing one situation per
+    step (the phase's, or every prefix situation without a period); the walks
+    of different periods run on a pool of ``threads`` worker threads (>= 1)."""
     battery = list(battery)
     if not battery:
         raise ModelInvariantError("battery must be non-empty")
     if threads < 1:
         raise ModelInvariantError(f"threads must be at least 1, got {threads}")
-    for member in battery:
-        if member.space != prefix.space:
-            raise SpaceMismatchError(prefix.space, member.space)
-    if sys.space != prefix.space:
-        raise SpaceMismatchError(prefix.space, sys.space)
-    if audit_depth is not None:
-        for i, member in enumerate(battery):
-            report = classify_process(from_multiplier(member), sys, audit_depth)
-            if not report.test:
-                raise ModelInvariantError(
-                    f"battery member {i} is not a test supermartingale "
-                    f"to depth {audit_depth}: witnesses {report.witnesses[:3]}"
-                )
+    for part in (*battery, sys):
+        if part.space != prefix.space:
+            raise SpaceMismatchError(prefix.space, part.space)
 
     weights = mixture_weights(len(battery))
 
@@ -121,21 +104,17 @@ def run_battery(
         paths = dict(zip(periods, map(iter, pool.map(capital_paths, periods))))
     capitals = [next(paths[D.period]) for D in battery]
 
-    mixture = []
-    for n in range(len(prefix) + 1):
-        mixture.append(
-            sum((w * path[n] for w, path in zip(weights, capitals)), start=Fraction(0))
-        )
-    best, best_at = Fraction(0), 0
-    for n, m in enumerate(mixture):
-        if m > best:
-            best, best_at = m, n
+    mixture = [
+        sum((w * path[n] for w, path in zip(weights, capitals)), start=Fraction(0))
+        for n in range(len(prefix) + 1)
+    ]
+    best_at = max(range(len(mixture)), key=mixture.__getitem__)  # first maximum
 
     return Trajectory(
         prefix=prefix,
         strategy_capitals=tuple(tuple(path) for path in capitals),
         mixture=tuple(mixture),
-        deficiency_bits=max(0.0, log2_rational(best)),
+        deficiency_bits=max(0.0, log2_rational(mixture[best_at])),
         argmax_step=best_at,
     )
 

@@ -74,11 +74,32 @@ def _emit(obj: dict, out: Optional[str]) -> None:
         _sys.stdout.write(text)
 
 
-def _build_processes(entries, system):
-    return tuple(
+def _system_and_battery(args):
+    system = load_system(args.system)
+    return system, tuple(
         lln_strategy(e, system) if isinstance(e, LLNStrategyParams) else e
-        for e in entries
+        for e in load_battery(args.battery, system.space)
     )
+
+
+_AUDIT_BUDGET = 2**20  # (strategy, situation) pairs one audit may sweep
+
+
+def _audit(system, battery, depth):
+    """Classify each member's capital process to depth, in battery order, once
+    the sweep's B * sum_{d<=depth} K^d (strategy, situation) pairs fit the budget."""
+    K, B = system.space.size, len(battery)
+    pairs, level = 0, B
+    for _ in range(depth + 1):  # level by level: K^depth itself may be too large
+        pairs, level = pairs + level, level * K
+        if pairs > _AUDIT_BUDGET:
+            raise ModelInvariantError(
+                f"audit to depth {depth} sweeps K^depth = {K}^{depth} situations "
+                f"at its deepest level for each of B = {B} strategies, over the "
+                f"budget of {_AUDIT_BUDGET} (strategy, situation) pairs"
+            )
+    for member in battery:
+        yield classify_process(from_multiplier(member), system, depth)
 
 
 def _parse_selection(text: str) -> SelectionProcess:
@@ -94,10 +115,16 @@ def _parse_selection(text: str) -> SelectionProcess:
 
 
 def _cmd_analyze(args) -> int:
-    system = load_system(args.system)
-    battery = _build_processes(load_battery(args.battery, system.space), system)
+    system, battery = _system_and_battery(args)
     prefix = read_sequence(args.sequence, system.space)
-    trajectory = run_battery(prefix, system, battery, audit_depth=args.audit_depth)
+    if args.audit_depth is not None:
+        for i, c in enumerate(_audit(system, battery, args.audit_depth)):
+            if not c.test:
+                raise ModelInvariantError(
+                    f"battery member {i} is not a test supermartingale "
+                    f"to depth {args.audit_depth}: witnesses {c.witnesses[:3]}"
+                )
+    trajectory = run_battery(prefix, system, battery)
     report = {
         "steps": len(prefix),
         "strategies": len(battery),
@@ -182,18 +209,13 @@ def _cmd_generate(args) -> int:
         if not args.models:
             raise ParseError(f"--models is required for kind {args.kind}")
         pmfs = _pmfs_from_model_file(args.models)
-        if args.kind == "iid":
-            if len(pmfs) != 1:
-                raise ParseError("iid generation takes exactly one mass function")
-            spec = GeneratorSpec.iid(pmfs[0], args.length, args.seed)
-        else:
-            spec = GeneratorSpec.cyclic(pmfs, args.length, args.seed)
+        if args.kind == "iid" and len(pmfs) != 1:
+            raise ParseError("iid generation takes exactly one mass function")
+        spec = GeneratorSpec.cyclic(pmfs, args.length, args.seed)
     else:
         if not args.system or not args.battery:
             raise ParseError("adversarial generation needs --system and --battery")
-        system = load_system(args.system)
-        battery = _build_processes(load_battery(args.battery, system.space), system)
-        spec = GeneratorSpec.adversarial(battery, args.length)
+        spec = GeneratorSpec.adversarial(_system_and_battery(args)[1], args.length)
     prefix = generate(spec)
     write_sequence(prefix, args.out)
     print(f"wrote {len(prefix)} symbols to {args.out}")
@@ -231,27 +253,23 @@ def _cmd_verify(args) -> int:
     if args.system:
         if not args.battery:
             raise ParseError("verify --system needs --battery")
-        system = load_system(args.system)
-        battery = _build_processes(load_battery(args.battery, system.space), system)
-        classifications = []
-        for i, member in enumerate(battery):
-            c = classify_process(from_multiplier(member), system, args.depth)
-            classifications.append(
-                {
-                    "strategy": i,
-                    "depth": c.depth,
-                    "supermartingale": c.supermartingale,
-                    "strict": c.strict,
-                    "submartingale": c.submartingale,
-                    "non_negative": c.non_negative,
-                    "test": c.test,
-                    "witnesses": [
-                        {"situation": list(tokens), "value": value}
-                        for tokens, value in c.witnesses
-                    ],
-                }
-            )
-            ok = ok and c.test
+        classifications = [
+            {
+                "strategy": i,
+                "depth": c.depth,
+                "supermartingale": c.supermartingale,
+                "strict": c.strict,
+                "submartingale": c.submartingale,
+                "non_negative": c.non_negative,
+                "test": c.test,
+                "witnesses": [
+                    {"situation": list(tokens), "value": value}
+                    for tokens, value in c.witnesses
+                ],
+            }
+            for i, c in enumerate(_audit(*_system_and_battery(args), args.depth))
+        ]
+        ok = ok and all(c["test"] for c in classifications)
         report["classification"] = classifications
 
     report["ok"] = ok

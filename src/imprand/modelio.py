@@ -294,6 +294,8 @@ BatteryEntry = Union[LLNStrategyParams, MultiplierProcess]
 def battery_from_list(
     entries: list, space: SampleSpace, context: str = "battery"
 ) -> Tuple[BatteryEntry, ...]:
+    """``lln`` entries stay parameters, built against a system by the caller; a
+    ``multiplier`` entry with no rows is constant (period 1), else path-keyed."""
     if not isinstance(entries, list) or not entries:
         raise ParseError(f"{context}: expected a non-empty list of strategies")
     out: List[BatteryEntry] = []
@@ -320,6 +322,7 @@ def battery_from_list(
                                    lambda v, at: Gamble(space, _rational_vector(v, at)))
             out.append(
                 MultiplierProcess(space, lambda s, r=rows, d=default: r.get(s.symbols, d))
+                if rows else MultiplierProcess.constant(space, default)
             )
         else:
             raise ParseError(f"{where}: unknown strategy type {entry['type']!r}")

@@ -26,9 +26,11 @@ from imprand import (
     VacuousModel,
     battery_for_gambles,
     check_running_average,
+    classify_process,
     default_battery,
     deficiency_summary,
     estimate_interval,
+    from_multiplier,
     generate,
     intersect,
     lln_strategy,
@@ -91,12 +93,14 @@ class TestRunBattery:
             run_battery(SequencePrefix(space3, (0,)), anchor_sys, [])
 
     def test_audit_depth_rejects_bad_strategy(self, space3, envelope3):
-        from imprand import MultiplierProcess
+        # run_battery only walks; the audit is the classification of the
+        # member's capital process
         growing = MultiplierProcess(
             space3, lambda s: Gamble.constant(space3, Fraction(3, 2)))
-        with pytest.raises(ModelInvariantError):
-            run_battery(SequencePrefix(space3, (0,)), StationarySystem(envelope3),
-                        [growing], audit_depth=2)
+        report = classify_process(from_multiplier(growing),
+                                  StationarySystem(envelope3), 2)
+        assert report.test is False
+        assert report.witnesses
 
     def test_threads_agree_with_serial(self, space3, anchor_sys,
                                        halving_multiplier):

@@ -1,6 +1,7 @@
 import csv
 import json
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -236,7 +237,7 @@ class TestAnalyze:
 
     def test_audit_depth_rejects_growing_battery(self, tmp_path,
                                                  envelope_system_file,
-                                                 all_b_sequence_file):
+                                                 all_b_sequence_file, capsys):
         growing = [{"type": "multiplier", "default": ["3/2", "3/2", "3/2"],
                     "rows": []}]
         battery = write_json(tmp_path, "battery.json", growing)
@@ -244,6 +245,34 @@ class TestAnalyze:
                      "--battery", battery, "--sequence", all_b_sequence_file,
                      "--audit-depth", "2"])
         assert code == 2
+        assert ("battery member 0 is not a test supermartingale to depth 2"
+                in capsys.readouterr().err)
+
+    def test_passing_audit_leaves_csv_unchanged(self, tmp_path,
+                                                envelope_system_file,
+                                                all_b_sequence_file):
+        battery = write_json(tmp_path, "battery.json",
+                             HALVING_BATTERY + LLN_BATTERY)
+        outs = []
+        for name, audit in (("plain.csv", []), ("audited.csv", ["--audit-depth", "3"])):
+            out = tmp_path / name
+            code = main(["analyze", "--system", envelope_system_file,
+                         "--battery", battery, "--sequence", all_b_sequence_file,
+                         "--threshold-bits", "1000", "--out", str(out)] + audit)
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_deep_audit_fails_fast(self, tmp_path, envelope_system_file,
+                                   all_b_sequence_file, capsys):
+        battery = write_json(tmp_path, "battery.json", LLN_BATTERY)
+        start = time.perf_counter()
+        code = main(["analyze", "--system", envelope_system_file,
+                     "--battery", battery, "--sequence", all_b_sequence_file,
+                     "--audit-depth", "1000000000"])
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        assert "3^1000000000" in capsys.readouterr().err
 
     def test_reruns_are_byte_identical(self, tmp_path, anchor_system_file,
                                        all_b_sequence_file):
@@ -394,6 +423,20 @@ class TestVerify:
         assert code == 2
         report = json.loads(capsys.readouterr().out)
         assert report["classification"][0]["witnesses"]
+
+    def test_deep_audit_fails_fast(self, tmp_path, envelope_system_file, capsys):
+        # the sweep would visit sum_{d<=depth} 3^d situations per strategy;
+        # the budget check counts level by level and stops at once
+        battery = write_json(tmp_path, "battery.json", LLN_BATTERY)
+        start = time.perf_counter()
+        code = main(["verify", "--system", envelope_system_file,
+                     "--battery", battery, "--depth", "1000000000"])
+        assert time.perf_counter() - start < 5
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "K^depth = 3^1000000000" in captured.err
+        assert "B = 1 strategies" in captured.err
 
     def test_needs_some_target(self):
         assert main(["verify"]) == 1

@@ -252,6 +252,19 @@ class TestBatteryJson:
         assert proc.factor(Situation(space3, (1,))).values == (
             Fraction(1), Fraction(1), Fraction(1))
 
+    def test_multiplier_entry_without_rows_is_constant(self, space3):
+        # a constant entry has period 1, so walks ask it at phase 0 instead
+        # of hashing every prefix; an entry with rows stays path-keyed
+        entries = [{"type": "multiplier", "default": ["1/2", "3/2", "1/2"], "rows": []},
+                   {"type": "multiplier", "default": ["1", "1", "1"],
+                    "rows": [{"situation": ["A"], "factor": ["1/2", "3/2", "1/2"]}]}]
+        constant, keyed = battery_from_list(entries, space3)
+        assert constant.period == 1
+        assert keyed.period is None
+        for symbols in ((), (0,), (2, 1, 0)):
+            assert constant.factor(Situation(space3, symbols)).values == (
+                Fraction(1, 2), Fraction(3, 2), Fraction(1, 2))
+
     @pytest.mark.parametrize("case", SITUATION_ROW_CASES)
     def test_multiplier_rows_must_be_situation_lists_given_once(self, space3, case):
         rows, message = situation_rows(case, "factor", ["1", "1", "1"])
