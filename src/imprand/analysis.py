@@ -10,9 +10,10 @@ of k bits or more has probability at most 2^-k.
 Two evaluation paths are provided.  ``run_battery`` is exact rational
 arithmetic over explicit multiplier processes.  ``run_battery_fast`` handles
 systems and selections with a ``period``: every betting factor then depends
-only on depth modulo a small period, so the log2 factors are precomputed in
-an exact table and the capital paths reduce to vectorized cumulative sums in
-floats.
+only on depth modulo a small period L, so the log2 factors are precomputed in
+an exact (phase, symbol) table, and the log2 capital paths are that table
+times the prefix's cumulative counts of (phase, symbol) pairs, in floats and
+in blocks of steps.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from imprand.martingale import (
     LLNStrategyParams,
     MultiplierProcess,
     SelectionProcess,
-    lln_strategy,
     mixture_weights,
 )
 from imprand.sequences import SequencePrefix
@@ -144,9 +144,11 @@ def battery_for_gambles(
         if g.space != space:
             raise SpaceMismatchError(space, g.space)
     selections: List[SelectionProcess] = []
-    for m in selection_moduli:
+    for n, m in enumerate(selection_moduli):
         if m < 1:
             raise ModelInvariantError(f"selection modulus must be at least 1, got {m}")
+        if m in selection_moduli[:n]:
+            raise ModelInvariantError(f"selection moduli must be distinct, got {m} twice")
         selections.extend(SelectionProcess.residue_class(m, i) for i in range(m))
     battery = []
     for g in gambles:
@@ -185,22 +187,37 @@ def _phase_tables(
 ) -> Tuple[int, np.ndarray]:
     """Per-strategy log2 betting factors indexed by (depth mod L, symbol).
 
-    The factors are computed exactly per phase and converted to float once;
-    errors do not accumulate across steps beyond the cumulative sum itself.
+    The factors are computed exactly and converted to float once: each exact
+    forecast once per (system phase, gamble, direction), shared by every stake
+    and selection, and each strategy's factors once per phase of its own period.
     """
-    processes = [lln_strategy(p, sys) for p in strategies]
-    L = joint_period(*(D.period for D in processes))
+    L = joint_period(sys.period, *(p.selection.period for p in strategies))
     if L is None:
         raise ModelInvariantError(
             "fast battery evaluation needs a system and selections with a period"
         )
     # any path reaches each phase: the factors depend on the depth alone
     phases = [Situation(sys.space, (0,) * t) for t in range(L)]
-    tables = np.empty((len(processes), L, sys.space.size), dtype=np.float64)
-    for i, D in enumerate(processes):
-        for t, s in enumerate(phases):
-            tables[i, t, :] = [log2_rational(v) for v in D.factor(s).values]
+    increments: dict = {}  # (system phase, gamble, direction) -> exact increment
+
+    def increment(t: int, p: LLNStrategyParams) -> Gamble:
+        key = (t % sys.period, p.f, p.direction)
+        if key not in increments:
+            increments[key] = p.increment(sys.forecast(phases[key[0]]))
+        return increments[key]
+
+    tables = np.empty((len(strategies), L, sys.space.size), dtype=np.float64)
+    for i, p in enumerate(strategies):
+        P = joint_period(sys.period, p.selection.period)  # divides L
+        for t, s in enumerate(phases[:P]):
+            factor = p.betting_factor(s, lambda: increment(t, p))
+            tables[i, t, :] = [log2_rational(v) for v in factor.values]
+        tables[i] = tables[i, np.arange(L) % P]
     return L, tables
+
+
+# floats in the float kernel's block buffer: small enough to stay in cache
+_KERNEL_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -218,30 +235,35 @@ def run_battery_fast(
 ) -> FastBatteryResult:
     """Vectorized battery evaluation for depth-periodic strategies.
 
-    Restricted to systems and selections with a ``period``.  Capital paths
-    are computed in log2 floats; use :func:`run_battery` when exactness is
+    Restricted to systems and selections with a ``period`` L.  The log2
+    capitals of all strategies are one product: their exact log2 factor
+    tables over (phase, symbol) times the prefix's cumulative (phase, symbol)
+    counts, so the data enter only through those counts.  The product is
+    taken over blocks of steps, so memory is O(B * block), not O(B * N).
+    Capital paths are floats; use :func:`run_battery` when exactness is
     required.
     """
     strategies = list(strategies)
     if not strategies:
         raise ModelInvariantError("battery must be non-empty")
-    if sys.space != prefix.space:
-        raise SpaceMismatchError(prefix.space, sys.space)
+    for part in (sys, *(p.f for p in strategies)):
+        if part.space != prefix.space:
+            raise SpaceMismatchError(prefix.space, part.space)
     L, tables = _phase_tables(sys, strategies)
-    n = len(prefix)
-    data = np.asarray(prefix.symbols, dtype=np.int64)
-    at = np.arange(n, dtype=np.int64) % L * sys.space.size + data
-
-    # one (B, N+1) buffer: log2 capitals, then the weighted terms in place
-    cum = np.zeros((len(strategies), n + 1), dtype=np.float64)
-    for row, table in zip(cum, tables.reshape(len(strategies), -1)):
-        np.cumsum(table[at], out=row[1:])
-    weights = mixture_weights(len(strategies))
-    cum += np.array([log2_rational(w) for w in weights])[:, None]
-    peak = cum.max(axis=0)
-    cum -= peak
-    np.exp2(cum, out=cum)
-    mixture_log2 = peak + np.log2(cum.sum(axis=0))
+    tables = tables.reshape(len(strategies), -1)
+    counts = prefix.phase_counts(L)
+    log2_weights = np.array([log2_rational(w) for w in mixture_weights(len(strategies))])
+    mixture_log2 = np.empty(len(prefix) + 1)
+    # the mixture at a step reads only that step's column, so the steps go in
+    # blocks; one (B, width) buffer holds log2 capitals, then the weighted terms
+    width = max(1, _KERNEL_CELLS // len(strategies))
+    for a in range(0, len(prefix) + 1, width):
+        cum = tables @ counts[:, a : a + width]
+        cum += log2_weights[:, None]
+        peak = cum.max(axis=0)
+        cum -= peak
+        np.exp2(cum, out=cum)
+        mixture_log2[a : a + width] = peak + np.log2(cum.sum(axis=0))
     deficiency = float(max(0.0, mixture_log2.max()))
     return FastBatteryResult(deficiency_bits=deficiency, mixture_log2=mixture_log2)
 

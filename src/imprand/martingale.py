@@ -31,6 +31,7 @@ from imprand.forecasting import (
     iter_situations,
     joint_period,
 )
+from imprand.lowerexp import LowerExpectation
 
 
 class _Memo:
@@ -294,41 +295,41 @@ class LLNStrategyParams:
     def xi(self) -> Fraction:
         return self.epsilon / (2 * self.bound ** 2)
 
+    def increment(self, model: LowerExpectation) -> Gamble:
+        """f minus its lower forecast ("lower"), or its upper forecast minus f."""
+        if self.direction == "lower":
+            return self.f - model.lower(self.f)
+        return model.upper(self.f) - self.f
 
-def lln_strategy(params: LLNStrategyParams, sys: ForecastingSystem) -> MultiplierProcess:
-    """Betting strategy whose capital grows when the selected running average
-    of the target increment stays below -epsilon.
-
-    The increment is f minus the situation's lower forecast of f (direction
-    "lower"), or the upper forecast minus f (direction "upper").  The factor
-    is D(s) = 1 - xi*S(s)*increment(s); xi < 1/B keeps it strictly positive.
-    Whenever the selected average of the increment over n selected steps is
-    <= -epsilon, the capital is >= exp(epsilon^2/(4 B^2) * n).
-    """
-    if params.f.space != sys.space:
-        raise SpaceMismatchError(sys.space, params.f.space)
-    f, xi, sel = params.f, params.xi, params.selection
-    lower_dir = params.direction == "lower"
-    one = Gamble.constant(f.space, 1)
-
-    def compute(s: Situation) -> Gamble:
-        if not sel.selects(s):
+    def betting_factor(self, s: Situation, increment: Callable[[], Gamble]) -> Gamble:
+        """D(s) = 1 - xi*S(s)*increment(), asked only at a selected step."""
+        one = Gamble.constant(self.f.space, 1)
+        if not self.selection.selects(s):
             return one
-        model = sys.forecast(s)
-        if lower_dir:
-            delta = f - model.lower(f)
-        else:
-            delta = model.upper(f) - f
-        g = one - delta.scale(xi)
+        g = one - increment().scale(self.xi)
         if g.minimum() <= 0:
             raise ModelInvariantError(
                 f"betting factor not positive at {s.tokens()!r}: min {g.minimum()}"
             )
         return g
 
+
+def lln_strategy(params: LLNStrategyParams, sys: ForecastingSystem) -> MultiplierProcess:
+    """Betting strategy whose capital grows when the selected running average
+    of the target increment (:meth:`LLNStrategyParams.increment`) stays below
+    -epsilon; its factor is :meth:`LLNStrategyParams.betting_factor`.
+    Whenever that average over n selected steps is <= -epsilon, the capital
+    is >= exp(epsilon^2/(4 B^2) * n).
+    """
+    if params.f.space != sys.space:
+        raise SpaceMismatchError(sys.space, params.f.space)
+
+    def compute(s: Situation) -> Gamble:
+        return params.betting_factor(s, lambda: params.increment(sys.forecast(s)))
+
     # the factor depends on the depth alone when the forecast and the
     # selection do, so it is memoized per phase instead of per path
-    return MultiplierProcess(sys.space, compute, joint_period(sys.period, sel.period))
+    return MultiplierProcess(sys.space, compute, joint_period(sys.period, params.selection.period))
 
 
 @dataclass(frozen=True)

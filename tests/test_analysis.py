@@ -188,18 +188,24 @@ class TestRunBattery:
 
 class TestFastPath:
     def test_agrees_with_exact(self, space3, vertices3):
-        rng = random.Random(41)
-        sys = CyclicSystem((LinearModel(vertices3[0]), LinearModel(vertices3[2])))
-        battery = default_battery(space3, selection_moduli=(1, 2, 3))
-        prefix = SequencePrefix(
-            space3, tuple(rng.choice([0, 1, 2]) for _ in range(200)))
-        fast = run_battery_fast(prefix, sys, battery)
-        processes = [lln_strategy(p, sys) for p in battery]
-        exact = run_battery(prefix, sys, processes)
-        assert abs(fast.deficiency_bits - exact.deficiency_bits) < 1e-7
         from imprand.core import log2_rational
-        for n in (0, 1, 57, 200):
-            assert abs(fast.mixture_log2[n] - log2_rational(exact.mixture[n])) < 1e-7
+        v0, v1, v2 = vertices3
+        period2 = CyclicSystem((LinearModel(v0), LinearModel(v2)))
+        # period 3 does not divide the moduli: L = lcm(3, 1, 2, 4) = 12
+        period3 = CyclicSystem((LinearModel(v0), LinearModel(v2), LinearModel(v1)))
+        for sys, moduli, length in [(period2, (1, 2, 3), 200), (period3, (1, 2, 4), 200),
+                                    (period3, (1, 2, 4), 1), (period3, (1, 2, 4), 0)]:
+            rng = random.Random(41)
+            battery = default_battery(space3, selection_moduli=moduli)
+            prefix = SequencePrefix(
+                space3, tuple(rng.choice([0, 1, 2]) for _ in range(length)))
+            fast = run_battery_fast(prefix, sys, battery)
+            processes = [lln_strategy(p, sys) for p in battery]
+            exact = run_battery(prefix, sys, processes)
+            assert abs(fast.deficiency_bits - exact.deficiency_bits) < 1e-7
+            assert len(fast.mixture_log2) == length + 1
+            for n in {0, 1, 57, length} & set(range(length + 1)):
+                assert abs(fast.mixture_log2[n] - log2_rational(exact.mixture[n])) < 1e-7
 
     @pytest.mark.parametrize("system, selection", [
         (StationarySystem, SelectionProcess.from_table({}, default=1)),
@@ -244,7 +250,8 @@ class TestDefaultBattery:
         assert first.epsilon == Fraction(1, 2)
         assert first.selection == SelectionProcess.all_ones()
 
-    @pytest.mark.parametrize("moduli, bad", [((1, -3, 0), "-3"), ((0,), "0")])
+    @pytest.mark.parametrize("moduli, bad", [((1, -3, 0), "-3"), ((0,), "0"),
+                                             ((1, 1), "1 twice"), ((1, 2, 2), "2 twice")])
     def test_rejects_modulus_below_one(self, space3, moduli, bad):
         with pytest.raises(ModelInvariantError, match=f"got {bad}$"):
             battery_for_gambles([Gamble.indicator(space3, "A")],
@@ -380,6 +387,27 @@ class TestEstimateInterval:
                                           directions=(side,))
             want = run_battery_fast(seq, StationarySystem(model), battery)
             assert point.raw_bits == want.deficiency_bits
+
+    @pytest.mark.parametrize("moduli, L", [((1, 2), 2), ((1, 2, 3, 4), 12)])
+    def test_forecasts_do_not_grow_with_the_battery(self, space3, vertices3, f_example,
+                                                    monkeypatch, moduli, L):
+        # one exact forecast per (phase, gamble, direction), shared by every
+        # epsilon and residue class: at most L lower calls per evaluated grid
+        # point (the upper side's upper(f) is -lower(-f))
+        seq = generate(GeneratorSpec.cyclic((vertices3[0], vertices3[2]),
+                                            2000, seed=13))
+        calls = []
+        lower = AnchorGammaModel.lower
+
+        def counted(model, g):
+            calls.append(g)
+            return lower(model, g)
+
+        monkeypatch.setattr(AnchorGammaModel, "lower", counted)
+        est = estimate_interval(seq, f_example, selection_moduli=moduli)
+        evaluated = sum(p.raw_bits != math.inf for p in est.lower_grid + est.upper_grid)
+        assert evaluated > 0
+        assert len(calls) <= L * evaluated
 
     def test_grid_validation(self, space3):
         prefix = SequencePrefix(space3, (0,) * 10)

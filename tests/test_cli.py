@@ -317,12 +317,14 @@ class TestEstimateInterval:
         gamble = write_json(tmp_path, "g.json",
                             gamble_to_dict(Gamble.indicator(SPACE, "A")))
         out = tmp_path / "est.json"
-        code = main(["estimate-interval", "--gamble", gamble, "--sequence",
-                     iid_sequence_file, "--selection-moduli", "1,-3,0",
-                     "--out", str(out)])
-        assert code == 2
-        assert "-3" in capsys.readouterr().err
-        assert not out.exists()
+        for moduli, named in (("1,-3,0", "-3"), ("1,1", "got 1 twice"),
+                              ("1,2,2", "got 2 twice")):
+            code = main(["estimate-interval", "--gamble", gamble, "--sequence",
+                         iid_sequence_file, "--selection-moduli", moduli,
+                         "--out", str(out)])
+            assert code == 2
+            assert named in capsys.readouterr().err
+            assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-5"])

@@ -37,6 +37,20 @@ class TestPrefix:
         assert p.situation(2).symbols == (1, 2)
         assert len(p) == 3
 
+    @pytest.mark.parametrize("length", [0, 1, 50])
+    def test_phase_counts_match_naive_count(self, space3, length):
+        rng = random.Random(7)
+        p = SequencePrefix(space3, tuple(rng.randrange(3) for _ in range(length)))
+        for period in (3, 2, 2):
+            counts = p.phase_counts(period)
+            assert counts.shape == (period * 3, length + 1)
+            assert not counts.flags.writeable
+            for n in range(length + 1):
+                naive = collections.Counter(
+                    j % period * 3 + x for j, x in enumerate(p.symbols[:n]))
+                assert list(counts[:, n]) == [naive[r] for r in range(period * 3)]
+        assert p.phase_counts(2) is counts  # the last period asked for is kept
+
 
 class TestPrng:
     def test_counter_stream_is_stateless(self):
