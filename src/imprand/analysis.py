@@ -30,7 +30,7 @@ from imprand.core import (
     Gamble,
     ModelInvariantError,
     SampleSpace,
-    SpaceMismatchError,
+    _check_same_space,
     as_rational,
     log2_rational,
 )
@@ -40,7 +40,7 @@ from imprand.forecasting import (
     StationarySystem,
     joint_period,
 )
-from imprand.lowerexp import AnchorGammaModel, IntervalQ
+from imprand.lowerexp import AnchorGammaModel
 from imprand.martingale import (
     LLNStrategyParams,
     MultiplierProcess,
@@ -82,8 +82,7 @@ def run_battery(
     if threads < 1:
         raise ModelInvariantError(f"threads must be at least 1, got {threads}")
     for part in (*battery, sys):
-        if part.space != prefix.space:
-            raise SpaceMismatchError(prefix.space, part.space)
+        _check_same_space(prefix, part)
 
     weights = mixture_weights(len(battery))
 
@@ -139,10 +138,8 @@ def battery_for_gambles(
     gambles = list(gambles)
     if not gambles:
         raise ModelInvariantError("battery needs at least one gamble")
-    space = gambles[0].space
     for g in gambles[1:]:
-        if g.space != space:
-            raise SpaceMismatchError(space, g.space)
+        _check_same_space(gambles[0], g)
     selections: List[SelectionProcess] = []
     for n, m in enumerate(selection_moduli):
         if m < 1:
@@ -176,8 +173,7 @@ def default_battery(
     expanded by :func:`battery_for_gambles`."""
     gambles = [Gamble.indicator(space, t) for t in space.symbols]
     for g in user_gambles:
-        if g.space != space:
-            raise SpaceMismatchError(space, g.space)
+        _check_same_space(gambles[0], g)
         gambles.append(g)
     return battery_for_gambles(gambles, selection_moduli)
 
@@ -247,8 +243,7 @@ def run_battery_fast(
     if not strategies:
         raise ModelInvariantError("battery must be non-empty")
     for part in (sys, *(p.f for p in strategies)):
-        if part.space != prefix.space:
-            raise SpaceMismatchError(prefix.space, part.space)
+        _check_same_space(prefix, part)
     L, tables = _phase_tables(sys, strategies)
     tables = tables.reshape(len(strategies), -1)
     counts = prefix.phase_counts(L)
@@ -298,8 +293,8 @@ def check_running_average(
     the joint period of system and selection (the depth when there is none);
     selection and forecast are read once per cell, at the depth-key situation.
     """
-    if f.space != prefix.space or sys.space != prefix.space:
-        raise SpaceMismatchError(prefix.space, f.space if f.space != prefix.space else sys.space)
+    _check_same_space(prefix, f)
+    _check_same_space(prefix, sys)
 
     period = joint_period(sys.period, S.period)
     depths = range(len(prefix))
@@ -372,10 +367,13 @@ def estimate_interval(
     The lower side tests "the expectation of f is at least gamma" against
     the stationary ``AnchorGammaModel(f, gamma)``, the least conservative
     model making that claim; the upper side tests "at most gamma" with the
-    conjugate ``AnchorGammaModel(-f, -gamma)``.  Finite-sample deficiencies
-    need not be monotone along the grid, so acceptance is repaired by a
-    running max of deficiencies before reading off the endpoints; raw values
-    are kept in the returned grids.
+    conjugate ``AnchorGammaModel(-f, -gamma)``.  Deficiencies are monotone
+    along each side's sweep: on the lower side each betting factor
+    1 - xi*(f(x) - gamma) rises with gamma, and on the upper side each factor
+    1 - xi*(gamma - f(x)) rises as gamma falls, so every capital, and with
+    them the mixture and its running max, grows along the sweep.  Acceptance
+    reads a running max of deficiencies, which only absorbs float rounding;
+    raw values are kept in the returned grids.
     """
     grid_step = as_rational(grid_step)
     if grid_step <= 0:
@@ -384,8 +382,7 @@ def estimate_interval(
         raise ModelInvariantError(
             f"threshold must be positive and finite, got {threshold_bits}"
         )
-    if f.space != prefix.space:
-        raise SpaceMismatchError(prefix.space, f.space)
+    _check_same_space(prefix, f)
 
     lo, hi = f.minimum(), f.maximum()
     grid: List[Fraction] = []
@@ -434,50 +431,3 @@ def estimate_interval(
         lower_grid=tuple(lower_grid),
         upper_grid=tuple(upper_grid),
     )
-
-
-def intersect(a: IntervalQ, b: IntervalQ) -> Optional[IntervalQ]:
-    """Exact interval intersection; None when disjoint."""
-    lo, hi = max(a.lo, b.lo), min(a.hi, b.hi)
-    if lo > hi:
-        return None
-    return IntervalQ(lo, hi)
-
-
-@dataclass(frozen=True)
-class TrajectoryStats:
-    strategy_bits: Tuple[float, ...]
-    strategy_argmax: Tuple[int, ...]
-    mixture_bits: float
-    mixture_argmax: int
-
-
-@dataclass(frozen=True)
-class DeficiencySummary:
-    """Per-strategy and mixture deficiencies across trajectories."""
-
-    per_trajectory: Tuple[TrajectoryStats, ...]
-    max_deficiency_bits: float
-
-
-def deficiency_summary(trajectories: Sequence[Trajectory]) -> DeficiencySummary:
-    stats = []
-    for t in trajectories:
-        bits, argmax = [], []
-        for path in t.strategy_capitals:
-            best, best_at = path[0], 0
-            for n, c in enumerate(path):
-                if c > best:
-                    best, best_at = c, n
-            bits.append(max(0.0, log2_rational(best)))
-            argmax.append(best_at)
-        stats.append(
-            TrajectoryStats(
-                strategy_bits=tuple(bits),
-                strategy_argmax=tuple(argmax),
-                mixture_bits=t.deficiency_bits,
-                mixture_argmax=t.argmax_step,
-            )
-        )
-    overall = max((s.mixture_bits for s in stats), default=0.0)
-    return DeficiencySummary(per_trajectory=tuple(stats), max_deficiency_bits=overall)

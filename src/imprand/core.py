@@ -117,6 +117,8 @@ class SampleSpace:
 
 
 def _check_same_space(a, b) -> None:
+    """The one comparison of two objects' sample spaces; the error names
+    a's space, then b's."""
     if a.space != b.space:
         raise SpaceMismatchError(a.space, b.space)
 

@@ -14,13 +14,14 @@ the periods of the objects a betting strategy is built from.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
-from imprand.core import ModelInvariantError, SampleSpace, SpaceMismatchError
-from imprand.lowerexp import LowerExpectation
+from imprand.core import ModelInvariantError, SampleSpace, _check_same_space
+from imprand.lowerexp import LowerExpectation, dominates
 
 
 def _check_index(space: SampleSpace, i) -> int:
@@ -81,14 +82,13 @@ class Situation:
 
 def iter_situations(space: SampleSpace, depth: int) -> Iterator[Situation]:
     """Breadth-first enumeration of all situations up to the given depth,
-    children in symbol order."""
+    children in symbol order (lexicographic order within a depth), one at a
+    time: no level is held."""
     if depth < 0:
         raise ModelInvariantError(f"depth must be non-negative, got {depth}")
-    level = [Situation.root(space)]
-    yield level[0]
-    for _ in range(depth):
-        level = [s.child(i) for s in level for i in space]
-        yield from level
+    for d in range(depth + 1):
+        for symbols in itertools.product(range(space.size), repeat=d):
+            yield Situation._trusted(space, symbols)
 
 
 def joint_period(*periods: Optional[int]) -> Optional[int]:
@@ -109,10 +109,6 @@ class ForecastingSystem:
     def forecast(self, s: Situation) -> LowerExpectation:
         raise NotImplementedError
 
-    def _require_space(self, s: Situation) -> None:
-        if s.space != self.space:
-            raise SpaceMismatchError(self.space, s.space)
-
 
 @dataclass(frozen=True)
 class StationarySystem(ForecastingSystem):
@@ -124,7 +120,7 @@ class StationarySystem(ForecastingSystem):
         return self.model.space
 
     def forecast(self, s: Situation) -> LowerExpectation:
-        self._require_space(s)
+        _check_same_space(self, s)
         return self.model
 
 
@@ -138,10 +134,8 @@ class CyclicSystem(ForecastingSystem):
         object.__setattr__(self, "models", tuple(self.models))
         if not self.models:
             raise ModelInvariantError("cyclic system needs at least one model")
-        first = self.models[0].space
         for m in self.models[1:]:
-            if m.space != first:
-                raise SpaceMismatchError(first, m.space)
+            _check_same_space(self.models[0], m)
 
     @property
     def space(self) -> SampleSpace:
@@ -152,7 +146,7 @@ class CyclicSystem(ForecastingSystem):
         return len(self.models)
 
     def forecast(self, s: Situation) -> LowerExpectation:
-        self._require_space(s)
+        _check_same_space(self, s)
         return self.models[s.depth % len(self.models)]
 
 
@@ -167,15 +161,14 @@ class TableSystem(ForecastingSystem):
     def __post_init__(self):
         object.__setattr__(self, "table", dict(self.table))
         for m in self.table.values():
-            if m.space != self.default.space:
-                raise SpaceMismatchError(self.default.space, m.space)
+            _check_same_space(self.default, m)
 
     @property
     def space(self) -> SampleSpace:
         return self.default.space
 
     def forecast(self, s: Situation) -> LowerExpectation:
-        self._require_space(s)
+        _check_same_space(self, s)
         return self.table.get(s.symbols, self.default)
 
 
@@ -191,21 +184,18 @@ class ProgrammaticSystem(ForecastingSystem):
     rule: Callable[[Situation], LowerExpectation] = field(compare=False)
 
     def forecast(self, s: Situation) -> LowerExpectation:
-        self._require_space(s)
+        _check_same_space(self, s)
         model = self.rule(s)
-        if model.space != self.space:
-            raise SpaceMismatchError(self.space, model.space)
+        _check_same_space(self, model)
         return model
 
 
 def pointwise_leq(a, b, depth, probes) -> bool:
-    """True iff a's lower expectation never exceeds b's, exactly, at every
-    situation up to the given depth and every probe gamble."""
-    if a.space != b.space:
-        raise SpaceMismatchError(a.space, b.space)
-    for s in iter_situations(a.space, depth):
-        ea, eb = a.forecast(s), b.forecast(s)
-        for g in probes:
-            if ea.lower(g) > eb.lower(g):
-                return False
-    return True
+    """True iff a's forecast :func:`~imprand.lowerexp.dominates` b's at every
+    situation up to the given depth: a's lower expectation never exceeds b's,
+    exactly, on any probe gamble."""
+    _check_same_space(a, b)  # else b.forecast would name the spaces swapped
+    return all(
+        dominates(a.forecast(s), b.forecast(s), probes)
+        for s in iter_situations(a.space, depth)
+    )

@@ -29,7 +29,7 @@ from imprand.core import (
     ModelInvariantError,
     ProbabilityMassFunction,
     SampleSpace,
-    SpaceMismatchError,
+    _check_same_space,
     as_rational,
     linear_expectation,
 )
@@ -61,10 +61,6 @@ class LowerExpectation:
         """Conjugate upper expectation: -lower(-g)."""
         return -self.lower(-g)
 
-    def _require_space(self, g: Gamble) -> None:
-        if g.space != self.space:
-            raise SpaceMismatchError(self.space, g.space)
-
 
 @dataclass(frozen=True)
 class LinearModel(LowerExpectation):
@@ -75,7 +71,7 @@ class LinearModel(LowerExpectation):
         return self.pmf.space
 
     def lower(self, g: Gamble) -> Fraction:
-        self._require_space(g)
+        _check_same_space(self, g)
         return linear_expectation(self.pmf, g)
 
 
@@ -89,17 +85,15 @@ class EnvelopeModel(LowerExpectation):
         object.__setattr__(self, "vertices", tuple(self.vertices))
         if not self.vertices:
             raise ModelInvariantError("envelope needs at least one vertex")
-        first = self.vertices[0].space
         for v in self.vertices[1:]:
-            if v.space != first:
-                raise SpaceMismatchError(first, v.space)
+            _check_same_space(self.vertices[0], v)
 
     @property
     def space(self) -> SampleSpace:
         return self.vertices[0].space
 
     def lower(self, g: Gamble) -> Fraction:
-        self._require_space(g)
+        _check_same_space(self, g)
         return min(linear_expectation(p, g) for p in self.vertices)
 
 
@@ -108,7 +102,7 @@ class VacuousModel(LowerExpectation):
     space: SampleSpace
 
     def lower(self, g: Gamble) -> Fraction:
-        self._require_space(g)
+        _check_same_space(self, g)
         return g.minimum()
 
 
@@ -168,7 +162,7 @@ class AnchorGammaModel(LowerExpectation):
         return self.anchor.space
 
     def lower(self, g: Gamble) -> Fraction:
-        self._require_space(g)
+        _check_same_space(self, g)
         return _anchored_floor_value(self.anchor, self.gamma, g)
 
 
@@ -197,7 +191,7 @@ class AnchorIntervalModel(LowerExpectation):
         return self.anchor.space
 
     def lower(self, g: Gamble) -> Fraction:
-        self._require_space(g)
+        _check_same_space(self, g)
         low_side = _anchored_floor_value(self.anchor, self.interval.lo, g)
         high_side = _anchored_floor_value(-self.anchor, -self.interval.hi, g)
         return max(low_side, high_side)
@@ -287,6 +281,5 @@ def dominates(
     el: LowerExpectation, eh: LowerExpectation, probes: Sequence[Gamble]
 ) -> bool:
     """True iff lower(el, g) <= lower(eh, g) exactly for every probe g."""
-    if el.space != eh.space:
-        raise SpaceMismatchError(el.space, eh.space)
+    _check_same_space(el, eh)
     return all(el.lower(g) <= eh.lower(g) for g in probes)

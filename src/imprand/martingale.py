@@ -22,7 +22,7 @@ from imprand.core import (
     Gamble,
     ModelInvariantError,
     SampleSpace,
-    SpaceMismatchError,
+    _check_same_space,
     as_rational,
 )
 from imprand.forecasting import (
@@ -68,8 +68,7 @@ class RationalProcess(_Memo):
     two adjacent depths (a capital process is not depth-periodic)."""
 
     def value(self, s: Situation) -> Fraction:
-        if s.space != self.space:
-            raise SpaceMismatchError(self.space, s.space)
+        _check_same_space(self, s)
         cached = self._cached(s.symbols)
         if cached is None:
             cached = as_rational(self._fn(s))
@@ -96,13 +95,11 @@ class MultiplierProcess(_Memo):
         self.period = period
 
     def factor(self, s: Situation) -> Gamble:
-        if s.space != self.space:
-            raise SpaceMismatchError(self.space, s.space)
+        _check_same_space(self, s)
         cached = self._cached(s.symbols)
         if cached is None:
             cached = self._fn(s)
-            if cached.space != self.space:
-                raise SpaceMismatchError(self.space, cached.space)
+            _check_same_space(self, cached)
             if (low := cached.minimum()) < 0:
                 raise ModelInvariantError(
                     f"multiplier at {s.tokens()!r} takes negative value {low}"
@@ -146,8 +143,7 @@ def classify_process(
     with root value 1.  Witnesses list every situation violating the
     supermartingale inequality together with the offending value.
     """
-    if F.space != sys.space:
-        raise SpaceMismatchError(F.space, sys.space)
+    _check_same_space(F, sys)
     if depth < 0:
         raise ModelInvariantError(f"depth must be non-negative, got {depth}")
 
@@ -321,8 +317,7 @@ def lln_strategy(params: LLNStrategyParams, sys: ForecastingSystem) -> Multiplie
     Whenever that average over n selected steps is <= -epsilon, the capital
     is >= exp(epsilon^2/(4 B^2) * n).
     """
-    if params.f.space != sys.space:
-        raise SpaceMismatchError(sys.space, params.f.space)
+    _check_same_space(sys, params.f)
 
     def compute(s: Situation) -> Gamble:
         return params.betting_factor(s, lambda: params.increment(sys.forecast(s)))
@@ -406,8 +401,7 @@ def mix(processes: Sequence[RationalProcess]) -> RationalProcess:
         raise ModelInvariantError("cannot mix an empty list of processes")
     space = members[0].space
     for p in members[1:]:
-        if p.space != space:
-            raise SpaceMismatchError(space, p.space)
+        _check_same_space(members[0], p)
     weights = mixture_weights(len(members))
 
     def eval_mix(s: Situation) -> Fraction:

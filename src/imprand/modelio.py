@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys as _sys
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
@@ -335,17 +336,24 @@ def load_battery(path, space: SampleSpace) -> Tuple[BatteryEntry, ...]:
 
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """One row per (step, strategy): exact capital plus the float mixture
-    log2 at that step (-inf once the mixture is 0).  Step 0 has no symbol."""
+    log2 at that step (-inf once the mixture is 0).  Step 0 has no symbol.
+    Exact capitals outgrow Python's int-to-str digit limit within a few
+    thousand steps, so the limit is lifted for the duration of the call."""
     prefix = trajectory.prefix
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["n", "symbol", "strategy_id", "capital_num", "capital_den", "mixture_log2"]
-        )
-        for n in range(len(prefix) + 1):
-            symbol = prefix.space.symbols[prefix.symbols[n - 1]] if n > 0 else ""
-            mixture = trajectory.mixture[n]
-            mix_log2 = repr(log2_rational(mixture)) if mixture else "-inf"
-            for i, path_i in enumerate(trajectory.strategy_capitals):
-                c = path_i[n]
-                writer.writerow([n, symbol, i, c.numerator, c.denominator, mix_log2])
+    digits = _sys.get_int_max_str_digits()
+    _sys.set_int_max_str_digits(0)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(
+                ["n", "symbol", "strategy_id", "capital_num", "capital_den", "mixture_log2"]
+            )
+            for n in range(len(prefix) + 1):
+                symbol = prefix.space.symbols[prefix.symbols[n - 1]] if n > 0 else ""
+                mixture = trajectory.mixture[n]
+                mix_log2 = repr(log2_rational(mixture)) if mixture else "-inf"
+                for i, path_i in enumerate(trajectory.strategy_capitals):
+                    c = path_i[n]
+                    writer.writerow([n, symbol, i, c.numerator, c.denominator, mix_log2])
+    finally:
+        _sys.set_int_max_str_digits(digits)

@@ -20,6 +20,7 @@ from imprand.core import (
     ProbabilityMassFunction,
     SampleSpace,
     SpaceMismatchError,
+    _check_same_space,
 )
 from imprand.forecasting import Situation
 from imprand.martingale import MultiplierProcess, mixture_weights
@@ -108,8 +109,7 @@ class GeneratorSpec:
             what = "mass functions" if self.kind == "cyclic" else "a battery"
             raise ModelInvariantError(f"{self.kind} generation needs {what}")
         for part in parts[1:]:
-            if part.space != parts[0].space:
-                raise SpaceMismatchError(parts[0].space, part.space)
+            _check_same_space(parts[0], part)
 
     @classmethod
     def iid(cls, p: ProbabilityMassFunction, length: int, seed: int = 0) -> "GeneratorSpec":
@@ -258,4 +258,4 @@ def read_sequence(path, space: Optional[SampleSpace] = None) -> SequencePrefix:
     final = space or header_space
     if final is None:
         raise ImprandError(f"{path}: no alphabet header and none supplied")
-    return SequencePrefix(final, tuple(symbols))
+    return SequencePrefix(final, symbols)

@@ -11,16 +11,17 @@ from imprand import (
     EnvelopeModel,
     Gamble,
     GeneratorSpec,
-    IntervalQ,
     LLNStrategyParams,
     LinearModel,
     CyclicSystem,
     MultiplierProcess,
     ProbabilityMassFunction,
     ProgrammaticSystem,
+    SampleSpace,
     SelectionProcess,
     SequencePrefix,
     Situation,
+    SpaceMismatchError,
     StationarySystem,
     TableSystem,
     VacuousModel,
@@ -28,12 +29,11 @@ from imprand import (
     check_running_average,
     classify_process,
     default_battery,
-    deficiency_summary,
     estimate_interval,
     from_multiplier,
     generate,
-    intersect,
     lln_strategy,
+    pointwise_leq,
     run_battery,
     run_battery_fast,
 )
@@ -74,6 +74,7 @@ class TestRunBattery:
         assert t.mixture[-1] == Fraction(67, 64) ** 64
         expected_bits = 64 * 0.06608919045777575  # log2(67/64)
         assert abs(t.deficiency_bits - expected_bits) < 1e-9
+        assert t.argmax_step == 64
 
     def test_halving_strategy_on_balanced_path(self, space3, envelope3,
                                                halving_multiplier):
@@ -87,6 +88,9 @@ class TestRunBattery:
             Fraction(9, 16), Fraction(9, 32))
         assert max(t.mixture) <= 1
         assert t.deficiency_bits == 0.0
+        t = run_battery(SequencePrefix(space3, (0, 2, 0)), sys, [halving_multiplier])
+        assert t.deficiency_bits == 0.0
+        assert max(t.strategy_capitals[0]) <= 1
 
     def test_empty_battery_rejected(self, space3, anchor_sys):
         with pytest.raises(ModelInvariantError):
@@ -439,43 +443,6 @@ class TestEstimateInterval:
         assert tight.hi_accept >= loose.hi_accept
 
 
-class TestIntersect:
-    def test_overlap(self):
-        got = intersect(IntervalQ(Fraction(-1, 2), Fraction(2)),
-                        IntervalQ(Fraction(0), Fraction(3)))
-        assert (got.lo, got.hi) == (Fraction(0), Fraction(2))
-
-    def test_disjoint(self):
-        assert intersect(IntervalQ(Fraction(0), Fraction(1)),
-                         IntervalQ(Fraction(2), Fraction(3))) is None
-
-    def test_touching(self):
-        got = intersect(IntervalQ(Fraction(0), Fraction(1)),
-                        IntervalQ(Fraction(1), Fraction(2)))
-        assert (got.lo, got.hi) == (Fraction(1), Fraction(1))
-
-
-class TestDeficiencySummary:
-    def test_zero_trajectory(self, space3, envelope3, halving_multiplier):
-        sys = StationarySystem(envelope3)
-        t = run_battery(SequencePrefix(space3, (0, 2, 0)), sys, [halving_multiplier])
-        summary = deficiency_summary([t])
-        assert summary.max_deficiency_bits == 0.0
-        assert summary.per_trajectory[0].strategy_bits == (0.0,)
-
-    def test_regression_fixture(self, space3, anchor_sys, anchor_strategy):
-        prefix = SequencePrefix(space3, (1,) * 64)
-        t = run_battery(prefix, anchor_sys, [anchor_strategy])
-        summary = deficiency_summary([t])
-        assert abs(summary.max_deficiency_bits - t.deficiency_bits) < 1e-12
-        assert summary.per_trajectory[0].mixture_argmax == 64
-
-    def test_empty(self):
-        summary = deficiency_summary([])
-        assert summary.max_deficiency_bits == 0.0
-        assert summary.per_trajectory == ()
-
-
 def test_vacuous_absorbs_small(space3, f_example):
     rng = random.Random(55)
     sys = StationarySystem(VacuousModel(space3))
@@ -487,3 +454,30 @@ def test_vacuous_absorbs_small(space3, f_example):
         t = run_battery(prefix, sys, battery)
         assert t.deficiency_bits == 0.0
         assert max(t.mixture) <= 1
+
+
+def test_space_mismatch_names_left_then_right(space3, vertices3, anchor_sys,
+                                              anchor_strategy):
+    space2 = SampleSpace(("X", "Y"))
+    prefix3, prefix2 = SequencePrefix(space3, (0, 1)), SequencePrefix(space2, (0,))
+    f3, f2 = Gamble.indicator(space3, "A"), Gamble.indicator(space2, "X")
+    sys2 = StationarySystem(VacuousModel(space2))
+    every = SelectionProcess.all_ones()
+    params = LLNStrategyParams(f=f3, direction="lower", epsilon=Fraction(1, 8),
+                               selection=every)
+    calls = [
+        (lambda: run_battery(prefix3, sys2, [anchor_strategy]), space3, space2),
+        (lambda: run_battery_fast(prefix2, anchor_sys, [params]), space2, space3),
+        (lambda: check_running_average(prefix2, f3, every, anchor_sys), space2, space3),
+        (lambda: check_running_average(prefix3, f3, every, sys2), space3, space2),
+        (lambda: estimate_interval(prefix2, f3), space2, space3),
+        (lambda: default_battery(space3, [f2]), space3, space2),
+        (lambda: lln_strategy(params, sys2), space2, space3),
+        (lambda: pointwise_leq(anchor_sys, sys2, 1, [f3]), space3, space2),
+        (lambda: EnvelopeModel((vertices3[0], ProbabilityMassFunction.uniform(space2))),
+         space3, space2),
+    ]
+    for call, left, right in calls:
+        with pytest.raises(SpaceMismatchError) as err:
+            call()
+        assert (err.value.left, err.value.right) == (left, right)

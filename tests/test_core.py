@@ -176,3 +176,12 @@ def test_exact_field_axioms(a, b):
     x, y, z = a[0], a[1], b[2]
     assert (x + y) + z == x + (y + z)
     assert c * (x + y) == c * x + c * y
+
+
+def test_public_names_resolve_once_sorted():
+    import imprand
+
+    names = imprand.__all__
+    assert all(hasattr(imprand, name) for name in names)
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)

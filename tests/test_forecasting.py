@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -57,6 +58,22 @@ class TestSituation:
         assert depths == sorted(depths)
         # children in symbol order within each level
         assert [s.symbols for s in seen[1:4]] == [(0,), (1,), (2,)]
+        level, expected = [Situation.root(space3)], [Situation.root(space3)]
+        for _ in range(3):
+            level = [c for s in level for c in s.children()]
+            expected += level
+        assert list(iter_situations(space3, 3)) == expected
+
+    def test_enumeration_holds_no_level(self, space3):
+        # depth 10 has 3^10 = 59049 situations; none of its levels is kept
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in iter_situations(space3, 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == (3 ** 11 - 1) // 2
+        assert peak < 1 << 20
 
 
 class TestForecastAt:

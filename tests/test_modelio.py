@@ -1,6 +1,7 @@
 import csv
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from imprand import (
     SequencePrefix,
     Situation,
     StationarySystem,
+    Trajectory,
     VacuousModel,
     battery_from_list,
     gamble_from_dict,
@@ -31,7 +33,7 @@ from imprand import (
     system_to_dict,
     write_trajectory_csv,
 )
-from imprand.core import ModelInvariantError
+from imprand.core import ModelInvariantError, log2_rational
 from imprand.forecasting import TableSystem
 from imprand.lowerexp import (
     AnchorGammaModel,
@@ -322,3 +324,22 @@ class TestTrajectoryCsv:
         capital = Fraction(int(last["capital_num"]), int(last["capital_den"]))
         assert capital == Fraction(3, 8)  # 1/2 * 3/2 * 1/2
         assert float(last["mixture_log2"]) == pytest.approx(-1.4150374992788437)
+
+    def test_capitals_past_the_int_digit_limit(self, space3, tmp_path):
+        # a library call, outside the CLI, under the default 4300-digit limit
+        big = Fraction(3 ** 10000, 2 ** 10000)  # 4772 and 3011 digits
+        prefix = SequencePrefix(space3, (1,))
+        t = Trajectory(prefix=prefix, strategy_capitals=((Fraction(1), big),),
+                       mixture=(Fraction(1), big), deficiency_bits=log2_rational(big),
+                       argmax_step=1)
+        path = tmp_path / "big.csv"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            write_trajectory_csv(t, path)
+            assert sys.get_int_max_str_digits() == 4300
+            sys.set_int_max_str_digits(0)
+            expected = f"1,B,0,{3 ** 10000},{2 ** 10000},{log2_rational(big)!r}"
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert path.read_text().splitlines()[-1] == expected
