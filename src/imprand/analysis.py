@@ -45,6 +45,7 @@ from imprand.martingale import (
     LLNStrategyParams,
     MultiplierProcess,
     SelectionProcess,
+    _over_common_denominator,
     mixture_weights,
 )
 from imprand.sequences import SequencePrefix
@@ -84,29 +85,35 @@ def run_battery(
     for part in (*battery, sys):
         _check_same_space(prefix, part)
 
-    weights = mixture_weights(len(battery))
-
-    def capital_paths(period: Optional[int]) -> List[List[Fraction]]:
+    def walk(period: Optional[int]) -> List[Tuple[List[Fraction], List[Fraction]]]:
+        """(capital path, factor taken at each step) of each member of the period."""
         members = [D for D in battery if D.period == period]
-        paths = [[Fraction(1)] for _ in members]
+        out = [([Fraction(1)], []) for _ in members]
         for n, x in enumerate(prefix.symbols):
             s = prefix.situation(n if period is None else n % period)
-            for member, path in zip(members, paths):
-                path.append(path[-1] * member.factor(s)[x])
-        return paths
+            for member, (path, taken) in zip(members, out):
+                factor = member.factor(s)[x]
+                taken.append(factor)
+                path.append(path[-1] * factor)
+        return out
 
     # imported here: it would add about 6 ms to every import of imprand
     from concurrent.futures import ThreadPoolExecutor
 
     periods = list(dict.fromkeys(D.period for D in battery))
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        paths = dict(zip(periods, map(iter, pool.map(capital_paths, periods))))
-    capitals = [next(paths[D.period]) for D in battery]
+        walks = dict(zip(periods, map(iter, pool.map(walk, periods))))
+    capitals, taken = zip(*(next(walks[D.period]) for D in battery))
 
-    mixture = [
-        sum((w * path[n] for w, path in zip(weights, capitals)), start=Fraction(0))
-        for n in range(len(prefix) + 1)
-    ]
+    # the mixture sum(w_i * c_i) as integers A_i over one denominator: each
+    # step scales A_i by its factor over the step's common denominator q
+    den, weighted = _over_common_denominator(mixture_weights(len(battery)))
+    mixture = [Fraction(sum(weighted), den)]
+    for column in zip(*taken):
+        q, nums = _over_common_denominator(column)
+        weighted = [a * m for a, m in zip(weighted, nums)]
+        den *= q
+        mixture.append(Fraction(sum(weighted), den))
     best_at = max(range(len(mixture)), key=mixture.__getitem__)  # first maximum
 
     return Trajectory(

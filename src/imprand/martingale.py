@@ -229,10 +229,12 @@ class SelectionProcess:
                 )
         if self.default not in (0, 1):
             raise ModelInvariantError("selection values must be 0 or 1")
-        if self.table is not None:
-            for _, v in self.table:
-                if v not in (0, 1):
-                    raise ModelInvariantError("selection values must be 0 or 1")
+        rows: dict = {}  # path -> value; the first row for a path wins
+        for key, v in self.table or ():
+            if v not in (0, 1):
+                raise ModelInvariantError("selection values must be 0 or 1")
+            rows.setdefault(key, v)
+        object.__setattr__(self, "_rows", rows)
 
     @classmethod
     def all_ones(cls) -> "SelectionProcess":
@@ -254,10 +256,7 @@ class SelectionProcess:
     def selects(self, s: Situation) -> int:
         if self.kind == "residue":
             return 1 if s.depth % self.modulus == self.residue else 0
-        for key, v in self.table or ():
-            if key == s.symbols:
-                return v
-        return self.default
+        return self._rows.get(s.symbols, self.default)
 
 
 @dataclass(frozen=True)
@@ -419,3 +418,11 @@ def mixture_weights(count: int) -> Tuple[Fraction, ...]:
     raw = [Fraction(1, 2 ** i) for i in range(count)]
     total = sum(raw)
     return tuple(w / total for w in raw)
+
+
+def _over_common_denominator(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """The lcm q of the values' denominators and each value's numerator over q,
+    so exact weighted sums of them are integer sums (the mixture weights over
+    q = 2^count - 1 are the integers 2^(count-1-i))."""
+    q = math.lcm(*(v.denominator for v in values))
+    return q, [v.numerator * (q // v.denominator) for v in values]

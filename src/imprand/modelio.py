@@ -9,6 +9,7 @@ meaning.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import sys as _sys
 from fractions import Fraction
@@ -348,12 +349,23 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
             writer.writerow(
                 ["n", "symbol", "strategy_id", "capital_num", "capital_den", "mixture_log2"]
             )
+            # only a step's head (n, symbol) can need quoting, so it alone goes
+            # through a csv writer; the integer and float fields are joined as is
+            end = writer.dialect.lineterminator
+            head = io.StringIO()
+            head_writer = csv.writer(head)
             for n in range(len(prefix) + 1):
                 symbol = prefix.space.symbols[prefix.symbols[n - 1]] if n > 0 else ""
+                head.seek(0)
+                head.truncate()
+                head_writer.writerow([n, symbol])
+                lead = head.getvalue()[: -len(end)]
                 mixture = trajectory.mixture[n]
                 mix_log2 = repr(log2_rational(mixture)) if mixture else "-inf"
-                for i, path_i in enumerate(trajectory.strategy_capitals):
-                    c = path_i[n]
-                    writer.writerow([n, symbol, i, c.numerator, c.denominator, mix_log2])
+                capitals = (path_i[n] for path_i in trajectory.strategy_capitals)
+                fh.write("".join(
+                    f"{lead},{i},{c.numerator},{c.denominator},{mix_log2}{end}"
+                    for i, c in enumerate(capitals)
+                ))
     finally:
         _sys.set_int_max_str_digits(digits)

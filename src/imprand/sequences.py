@@ -23,7 +23,11 @@ from imprand.core import (
     _check_same_space,
 )
 from imprand.forecasting import Situation
-from imprand.martingale import MultiplierProcess, mixture_weights
+from imprand.martingale import (
+    MultiplierProcess,
+    _over_common_denominator,
+    mixture_weights,
+)
 
 
 class SequencePrefix(Situation):
@@ -160,8 +164,9 @@ def _generate_adversarial(
     never exceeds 1 along the result, and battery member i stays below the
     reciprocal of its mixture weight."""
     space = battery[0].space
-    # weighted capitals w_i * c_i; every capital starts at 1
-    weighted = list(mixture_weights(len(battery)))
+    # weighted capitals w_i * c_i as integers A_i over one denominator, which
+    # every candidate shares and so never enters a comparison; capitals start at 1
+    _, weighted = _over_common_denominator(mixture_weights(len(battery)))
     s = Situation.root(space)
 
     for _ in range(length):
@@ -173,14 +178,14 @@ def _generate_adversarial(
                     f"battery member not positive at {s.tokens()!r}"
                 )
             factors.append(g)
-        best_x, best_value = 0, None
+        # candidate x is sum(A_i * num_i(x)) / (denominator * q_x)
+        best_x = best_total = best_q = best_nums = None
         for x in space:
-            candidate = sum(
-                (wc * g[x] for wc, g in zip(weighted, factors)), start=Fraction(0)
-            )
-            if best_value is None or candidate < best_value:
-                best_x, best_value = x, candidate
-        weighted = [wc * g[best_x] for wc, g in zip(weighted, factors)]
+            q, nums = _over_common_denominator([g[x] for g in factors])
+            total = sum(a * m for a, m in zip(weighted, nums))
+            if best_total is None or total * best_q < best_total * q:
+                best_x, best_total, best_q, best_nums = x, total, q, nums
+        weighted = [a * m for a, m in zip(weighted, best_nums)]
         s = s.child(best_x)
 
     return SequencePrefix(space, s.symbols)

@@ -6,6 +6,7 @@ from fractions import Fraction
 from sys import getswitchinterval, setswitchinterval
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imprand import (
     EnvelopeModel,
@@ -38,9 +39,10 @@ from imprand import (
     run_battery_fast,
 )
 from imprand.analysis import AverageReport
-from imprand.core import ModelInvariantError
+from imprand.core import ModelInvariantError, log2_rational
 from imprand.forecasting import iter_situations
 from imprand.lowerexp import AnchorGammaModel
+from imprand.martingale import mixture_weights
 
 from conftest import rand_gamble, rand_pmf
 
@@ -188,6 +190,54 @@ class TestRunBattery:
             finally:
                 tracemalloc.stop()
         assert max(peaks.values()) < 5 * 2 ** 20, peaks
+
+
+# betting factors with zeros and pairwise coprime denominators
+_factors = st.builds(Fraction, st.integers(0, 40), st.sampled_from([1, 2, 3, 5, 7, 8, 9]))
+
+
+@st.composite
+def _members(draw):
+    """(period, factor function) of one battery member: with a period its
+    gamble follows the depth mod period, without one the path."""
+    space = SampleSpace(("A", "B", "C"))
+    period = draw(st.sampled_from([None, 1, 2, 3]))
+    rows = draw(st.lists(st.tuples(_factors, _factors, _factors), min_size=1, max_size=3))
+    gambles = [Gamble(space, row) for row in rows]
+    if period is None:
+        def fn(s):
+            return gambles[sum(s.symbols) % len(gambles)]
+    else:
+        def fn(s):
+            return gambles[s.depth % period % len(gambles)]
+    return period, fn
+
+
+@settings(max_examples=60, deadline=None)
+@given(members=st.lists(_members(), min_size=1, max_size=6),
+       symbols=st.lists(st.integers(0, 2), max_size=25))
+def test_run_battery_matches_fraction_mixture(members, symbols):
+    space = SampleSpace(("A", "B", "C"))
+    prefix = SequencePrefix(space, symbols)
+    sys = StationarySystem(VacuousModel(space))
+    # the reference walks the factor functions themselves and sums in Fractions
+    capitals = []
+    for _, fn in members:
+        path = [Fraction(1)]
+        for n, x in enumerate(symbols):
+            path.append(path[-1] * fn(prefix.situation(n))[x])
+        capitals.append(tuple(path))
+    weights = mixture_weights(len(members))
+    mixture = tuple(sum((w * c[n] for w, c in zip(weights, capitals)), start=Fraction(0))
+                    for n in range(len(symbols) + 1))
+    best_at = mixture.index(max(mixture))
+    for threads in (1, 2):
+        battery = [MultiplierProcess(space, fn, period) for period, fn in members]
+        t = run_battery(prefix, sys, battery, threads=threads)
+        assert t.strategy_capitals == tuple(capitals)
+        assert t.mixture == mixture
+        assert t.argmax_step == best_at
+        assert t.deficiency_bits == max(0.0, log2_rational(mixture[best_at]))
 
 
 class TestFastPath:

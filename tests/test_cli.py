@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import sys
 import time
@@ -55,6 +56,12 @@ LLN_BATTERY = [{
     "epsilon": "1/8",
     "selection": {"kind": "all"},
 }]
+
+
+# SHA-256 of analyze --format csv on the golden test's input, recorded from the
+# implementation that summed the mixture in Fractions and wrote every row through
+# csv.writer; integer sums and joined rows must not change a byte
+_CSV_GOLDEN_SHA256 = "43b37f5af2d93ec06fca153df74bbcfe11d46d04efb88cf0c9af513ba5f27b88"
 
 
 def write_json(tmp_path, name, obj):
@@ -284,6 +291,28 @@ class TestAnalyze:
                   battery, "--sequence", all_b_sequence_file, "--out", str(out)])
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+    def test_csv_golden(self, tmp_path, anchor_system_file):
+        # 24 strategies on two gambles, both directions, two stakes and the
+        # selections of moduli 1 and 2, along 200 iid steps
+        battery = write_json(tmp_path, "battery.json", [
+            {"type": "lln", "gamble": gamble, "direction": direction,
+             "epsilon": epsilon, "selection": {"kind": "residue", "m": m, "i": i}}
+            for gamble in (["1", "0", "0"], ["1", "-2", "3"])
+            for direction in ("lower", "upper")
+            for epsilon in ("1/2", "1/8")
+            for m, i in ((1, 0), (2, 0), (2, 1))
+        ])
+        p = ProbabilityMassFunction(SPACE, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
+        sequence = tmp_path / "iid.txt"
+        write_sequence(generate(GeneratorSpec.iid(p, 200, seed=3)), sequence)
+        out = tmp_path / "trajectory.csv"
+        code = main(["analyze", "--system", anchor_system_file, "--battery", battery,
+                     "--sequence", str(sequence), "--format", "csv", "--out", str(out)])
+        assert code == 3
+        assert len(out.read_bytes().splitlines()) == 1 + 201 * 24
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _CSV_GOLDEN_SHA256
 
 
 class TestEstimateInterval:

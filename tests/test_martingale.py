@@ -29,7 +29,7 @@ from imprand import (
 from imprand.core import ModelInvariantError
 from imprand.forecasting import iter_situations
 from imprand.lowerexp import AnchorGammaModel
-from imprand.martingale import mixture_weights
+from imprand.martingale import _over_common_denominator, mixture_weights
 
 from conftest import rand_pmf, rand_space, rand_supermartingale_multiplier
 
@@ -146,6 +146,23 @@ class TestSelection:
         assert sel.selects(Situation(space3, (0,))) == 1
         assert sel.selects(Situation(space3, (1,))) == 0
         assert sel.period is None
+
+    def test_table_duplicate_and_missing_paths(self, space3):
+        # built directly, a table may repeat a path: its first row wins, as a
+        # scan of the rows in order finds it; a missing path reads the default
+        table = (((0,), 1), ((1, 2), 1), ((0,), 0), ((), 1))
+        for default in (0, 1):
+            sel = SelectionProcess(kind="table", table=table, default=default)
+            answers = [sel.selects(Situation(space3, path))
+                       for path in ((0,), (1, 2), (), (2,), (1,), (0, 0))]
+            assert answers == [1, 1, 1, default, default, default]
+        # equality and hashing still read the fields alone
+        a = SelectionProcess(kind="table", table=table)
+        b = SelectionProcess(kind="table", table=table)
+        assert a == b and hash(a) == hash(b)
+        assert a != SelectionProcess(kind="table", table=table[:1])
+        with pytest.raises(ModelInvariantError):
+            SelectionProcess(kind="table", table=(((0,), 1), ((1,), 2)))
 
     def test_period_by_kind(self):
         assert SelectionProcess.all_ones().period == 1
@@ -363,6 +380,16 @@ class TestCapAndMix:
         M = from_multiplier(halving_multiplier)
         report = classify_process(cap_process(M, 1), StationarySystem(envelope3), 5)
         assert report.supermartingale and report.test
+
+    def test_common_denominator(self):
+        q, nums = _over_common_denominator(
+            [Fraction(1, 6), Fraction(0), Fraction(3, 4), Fraction(5)])
+        assert (q, nums) == (12, [2, 0, 9, 60])
+        # the mixture weights over 2^count - 1 are 2^(count-1-i)
+        for count in (1, 2, 5, 24):
+            q, nums = _over_common_denominator(mixture_weights(count))
+            assert q == 2 ** count - 1
+            assert nums == [2 ** (count - 1 - i) for i in range(count)]
 
     def test_mix_weights(self):
         assert mixture_weights(1) == (Fraction(1),)

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import random
 import sys
@@ -11,6 +12,7 @@ from imprand import (
     LLNStrategyParams,
     LinearModel,
     MultiplierProcess,
+    SampleSpace,
     SelectionProcess,
     SequencePrefix,
     Situation,
@@ -324,6 +326,29 @@ class TestTrajectoryCsv:
         capital = Fraction(int(last["capital_num"]), int(last["capital_den"]))
         assert capital == Fraction(3, 8)  # 1/2 * 3/2 * 1/2
         assert float(last["mixture_log2"]) == pytest.approx(-1.4150374992788437)
+
+    def test_matches_a_csv_writer_row_by_row(self, tmp_path):
+        # symbols that need quoting, a zero mixture and both signs of log2
+        space = SampleSpace(("a,b", '"q"', "c"))
+        prefix = SequencePrefix(space, (0, 1, 2, 1))
+        g = Gamble(space, (Fraction(3, 2), Fraction(1, 3), Fraction(0)))
+        t = run_battery(prefix, StationarySystem(VacuousModel(space)),
+                        [MultiplierProcess(space, lambda s: g, period=1)] * 2)
+        path = tmp_path / "out.csv"
+        write_trajectory_csv(t, path)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["n", "symbol", "strategy_id", "capital_num", "capital_den",
+                         "mixture_log2"])
+        for n in range(len(prefix) + 1):
+            symbol = space.symbols[prefix.symbols[n - 1]] if n else ""
+            mix = repr(log2_rational(t.mixture[n])) if t.mixture[n] else "-inf"
+            for i, path_i in enumerate(t.strategy_capitals):
+                writer.writerow([n, symbol, i, path_i[n].numerator,
+                                 path_i[n].denominator, mix])
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+        assert b'1,"a,b",0,3,2,' in path.read_bytes()
+        assert b'2,"""q""",1,1,2,' in path.read_bytes()
 
     def test_capitals_past_the_int_digit_limit(self, space3, tmp_path):
         # a library call, outside the CLI, under the default 4300-digit limit

@@ -12,6 +12,7 @@ from imprand import (
     ProbabilityMassFunction,
     SampleSpace,
     SequencePrefix,
+    Situation,
     StationarySystem,
     generate,
     read_sequence,
@@ -116,6 +117,48 @@ class TestGenerate:
             capital *= halving_multiplier.factor(seq.situation(n))[seq.symbols[n]]
             assert capital <= 1
 
+    def test_adversarial_matches_fraction_greedy(self, space3):
+        # members of periods 2, 1 and none, with coprime factor denominators
+        rng = random.Random(5)
+
+        def positive_gamble():
+            return Gamble(space3, tuple(
+                Fraction(rng.randint(1, 30), rng.choice((1, 2, 3, 5, 7, 9)))
+                for _ in range(3)))
+
+        for _ in range(4):
+            pair = [positive_gamble() for _ in range(2)]
+            constant = positive_gamble()
+            by_sum, by_last = ([positive_gamble() for _ in range(3)] for _ in range(2))
+            members = [
+                (2, lambda s: pair[s.depth % 2]),
+                (1, lambda s: constant),
+                (None, lambda s: by_sum[sum(s.symbols) % 3]),
+                (None, lambda s: by_last[s.symbols[-1] if s.symbols else 0]),
+            ]
+            battery = [MultiplierProcess(space3, fn, period) for period, fn in members]
+            seq = generate(GeneratorSpec.adversarial(battery, 40))
+            fns = [fn for _, fn in members]
+            assert seq.symbols == _greedy_fraction_reference(space3, fns, 40)
+
+    def test_adversarial_tie_goes_to_the_lower_symbol(self, space3):
+        # with weights 2/3 and 1/3, B and C give the same weighted sum 1/2 at
+        # the first step and A gives 1.  The tying sums have common
+        # denominators 2 and 4 in one battery and 4 and 2 in the other; in the
+        # first, B keeps both capitals in the ratio 2:1, so every step ties.
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        sequences = []
+        for first, second in (((1, half, quarter), (1, half, 1)),
+                              ((1, quarter, half), (1, 1, half))):
+            fns = [lambda s, g=Gamble(space3, first): g,
+                   lambda s, g=Gamble(space3, second): g]
+            battery = [MultiplierProcess(space3, fn, period=1) for fn in fns]
+            seq = generate(GeneratorSpec.adversarial(battery, 12))
+            assert seq.symbols == _greedy_fraction_reference(space3, fns, 12)
+            sequences.append(seq.symbols)
+        assert sequences[0] == (1,) * 12
+        assert sequences[1][0] == 1
+
     def test_adversarial_rejects_non_positive_battery(self, space3, envelope3):
         dead = MultiplierProcess(
             space3, lambda s: Gamble(space3, (Fraction(0), Fraction(1), Fraction(1))))
@@ -143,6 +186,21 @@ class TestGenerate:
                    for sp in (space3, space2)]
         with pytest.raises(SpaceMismatchError):
             GeneratorSpec.adversarial(members, 5)
+
+
+def _greedy_fraction_reference(space, fns, length):
+    """Greedy descent written with Fraction sums: at each step the symbol of the
+    least weighted sum of factor values, the lowest symbol on a tie."""
+    weighted = list(mixture_weights(len(fns)))
+    s = Situation.root(space)
+    for _ in range(length):
+        factors = [fn(s) for fn in fns]
+        sums = [sum((w * g[x] for w, g in zip(weighted, factors)), start=Fraction(0))
+                for x in space]
+        x = sums.index(min(sums))
+        weighted = [w * g[x] for w, g in zip(weighted, factors)]
+        s = s.child(x)
+    return s.symbols
 
 
 class TestSequenceFiles:
