@@ -55,8 +55,9 @@ from imprand.sequences import SequencePrefix
 class Trajectory:
     """Exact capital paths of a battery along a prefix.
 
-    All capitals are positive rationals; the mixture starts at 1 so
-    deficiency is never negative.
+    All capitals are non-negative rationals (a factor may be 0); a step whose
+    factor is 1 repeats the previous capital object.  The mixture starts at
+    1 so deficiency is never negative.
     """
 
     prefix: SequencePrefix
@@ -94,7 +95,9 @@ def run_battery(
             for member, (path, taken) in zip(members, out):
                 factor = member.factor(s)[x]
                 taken.append(factor)
-                path.append(path[-1] * factor)
+                # a unit factor keeps the capital object: no copy of its
+                # integers, and the CSV writer converts it to decimal once
+                path.append(path[-1] if factor == 1 else path[-1] * factor)
         return out
 
     # imported here: it would add about 6 ms to every import of imprand
@@ -114,13 +117,25 @@ def run_battery(
         weighted = [a * m for a, m in zip(weighted, nums)]
         den *= q
         mixture.append(Fraction(sum(weighted), den))
-    best_at = max(range(len(mixture)), key=mixture.__getitem__)  # first maximum
+
+    # The first maximum, compared exactly only inside a float band below the
+    # top.  log2_rational truncates each operand to 53 bits (relative error
+    # below 2^-52, so under 4e-16 in log2), calls log2 on each (about 1 ulp of
+    # a result below 54, under 8e-15) and makes two float additions (under
+    # 4e-15 plus |value|·2^-53): its error is below 1e-13 + |value|·1e-15.
+    # Every step whose exact mixture equals the maximum is therefore within
+    # twice that of the top float, far inside 1e-9·max(1, |top|).
+    logs = [log2_rational(m) if m else -math.inf for m in mixture]
+    top = max(logs)
+    floor = top - 1e-9 * max(1.0, abs(top))
+    band = [n for n, v in enumerate(logs) if v >= floor]
+    best_at = max(band, key=mixture.__getitem__)  # first maximum
 
     return Trajectory(
         prefix=prefix,
         strategy_capitals=tuple(tuple(path) for path in capitals),
         mixture=tuple(mixture),
-        deficiency_bits=max(0.0, log2_rational(mixture[best_at])),
+        deficiency_bits=max(0.0, logs[best_at]),
         argmax_step=best_at,
     )
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence, Tuple, Union
 
 RationalLike = Union[Fraction, int, str]
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$", re.ASCII)
 
 
 class ImprandError(Exception):

@@ -339,8 +339,13 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """One row per (step, strategy): exact capital plus the float mixture
     log2 at that step (-inf once the mixture is 0).  Step 0 has no symbol.
     Exact capitals outgrow Python's int-to-str digit limit within a few
-    thousand steps, so the limit is lifted for the duration of the call."""
+    thousand steps, so the limit is lifted for the duration of the call.
+    Each distinct capital is converted to decimal once: a strategy whose
+    capital object repeats (a unit-factor step) reuses its previous text."""
     prefix = trajectory.prefix
+    paths = trajectory.strategy_capitals
+    last = [None] * len(paths)  # each strategy's last capital object ...
+    text = [""] * len(paths)  # ... and its "num,den"
     digits = _sys.get_int_max_str_digits()
     _sys.set_int_max_str_digits(0)
     try:
@@ -362,10 +367,12 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
                 lead = head.getvalue()[: -len(end)]
                 mixture = trajectory.mixture[n]
                 mix_log2 = repr(log2_rational(mixture)) if mixture else "-inf"
-                capitals = (path_i[n] for path_i in trajectory.strategy_capitals)
+                for i, path_i in enumerate(paths):
+                    c = path_i[n]
+                    if c is not last[i]:
+                        last[i], text[i] = c, f"{c.numerator},{c.denominator}"
                 fh.write("".join(
-                    f"{lead},{i},{c.numerator},{c.denominator},{mix_log2}{end}"
-                    for i, c in enumerate(capitals)
+                    f"{lead},{i},{t},{mix_log2}{end}" for i, t in enumerate(text)
                 ))
     finally:
         _sys.set_int_max_str_digits(digits)

@@ -170,18 +170,17 @@ def _generate_adversarial(
     s = Situation.root(space)
 
     for _ in range(length):
-        factors = []
-        for member in battery:
-            g = member.factor(s)
-            if g.minimum() <= 0:
-                raise ModelInvariantError(
-                    f"battery member not positive at {s.tokens()!r}"
-                )
-            factors.append(g)
-        # candidate x is sum(A_i * num_i(x)) / (denominator * q_x)
+        factors = [member.factor(s) for member in battery]
+        # candidate x is sum(A_i * num_i(x)) / (denominator * q_x); every x is
+        # visited, so each member's factor is checked for positivity at every
+        # symbol (a numerator over q_x > 0 has the factor's sign)
         best_x = best_total = best_q = best_nums = None
         for x in space:
             q, nums = _over_common_denominator([g[x] for g in factors])
+            if min(nums) <= 0:
+                raise ModelInvariantError(
+                    f"battery member not positive at {s.tokens()!r}"
+                )
             total = sum(a * m for a, m in zip(weighted, nums))
             if best_total is None or total * best_q < best_total * q:
                 best_x, best_total, best_q, best_nums = x, total, q, nums

@@ -191,6 +191,49 @@ class TestRunBattery:
                 tracemalloc.stop()
         assert max(peaks.values()) < 5 * 2 ** 20, peaks
 
+    def test_unit_factors_share_the_capital(self, space3, anchor_sys, f_example):
+        # most factors of the residue-class members are exactly 1; such a step
+        # keeps the previous capital object instead of a copy of it
+        battery = [lln_strategy(p, anchor_sys)
+                   for p in default_battery(space3, (f_example,))[:24]]
+        p = ProbabilityMassFunction(space3, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
+        prefix = generate(GeneratorSpec.iid(p, 300, seed=1))
+        t = run_battery(prefix, anchor_sys, battery)
+        units = 0
+        for member, path in zip(battery, t.strategy_capitals):
+            for n, x in enumerate(prefix.symbols, start=1):
+                if member.factor(prefix.situation(n - 1))[x] == 1:
+                    units += 1
+                    assert path[n] is path[n - 1]
+        assert units > 24 * 300 // 3
+        # the 1000-step trajectory holds about 5.8 MiB, and 9.9 MiB with a
+        # new capital at every step
+        prefix = generate(GeneratorSpec.iid(p, 1000, seed=1))
+        tracemalloc.start()
+        try:
+            t = run_battery(prefix, anchor_sys, battery)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 8 * 2 ** 20
+
+    @pytest.mark.parametrize("factors,best_at", [
+        # 1 + 2^-70 and a tie at steps 1 and 2 read 0.0 in floats, as does step 3
+        ((1 + Fraction(1, 2 ** 70), 1, 1 + Fraction(1, 2 ** 80)), 3),
+        ((1 + Fraction(1, 2 ** 70), 1, 1 - Fraction(1, 2 ** 80)), 1),
+        ((2, 0, 1, 3), 1),
+        ((Fraction(1, 2), 0), 0),
+    ])
+    def test_argmax_is_the_exact_first_maximum(self, space3, factors, best_at):
+        # one member, so the mixture is its capital; the data stay at A
+        gambles = [Gamble(space3, (v, 1, 1)) for v in factors]
+        member = MultiplierProcess(space3, lambda s: gambles[s.depth])
+        prefix = SequencePrefix(space3, (0,) * len(factors))
+        t = run_battery(prefix, StationarySystem(VacuousModel(space3)), [member])
+        m = t.mixture
+        assert t.argmax_step == max(range(len(m)), key=m.__getitem__) == best_at
+        assert t.deficiency_bits == max(0.0, log2_rational(m[best_at]))
+
 
 # betting factors with zeros and pairwise coprime denominators
 _factors = st.builds(Fraction, st.integers(0, 40), st.sampled_from([1, 2, 3, 5, 7, 8, 9]))

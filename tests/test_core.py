@@ -34,7 +34,9 @@ class TestRationalStrings:
     def test_parse(self, text, value):
         assert parse_rational(text) == value
 
-    @pytest.mark.parametrize("bad", ["0.5", "1e3", "1/0", "1/-2", "", "a/b", "1 /2"])
+    # the last three use non-ASCII decimal digits (fullwidth, Arabic-Indic)
+    @pytest.mark.parametrize("bad", ["0.5", "1e3", "1/0", "1/-2", "", "a/b", "1 /2",
+                                     "３", "٣/7", "1/1٠"])
     def test_rejects_non_rational_strings(self, bad):
         with pytest.raises(ModelInvariantError):
             parse_rational(bad)

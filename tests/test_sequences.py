@@ -1,5 +1,6 @@
 import collections
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -165,6 +166,20 @@ class TestGenerate:
         spec = GeneratorSpec.adversarial([dead], 5)
         with pytest.raises(ModelInvariantError):
             generate(spec)
+
+    def test_adversarial_rejects_a_zero_the_greedy_would_not_take(self, space3):
+        # with weights 2/3 and 1/3, A's sum 1/2 beats C's 2/3, so the greedy
+        # takes A at every step although the second member is 0 at C from
+        # depth 3 on; the check must still fire there
+        first = Gamble(space3, (Fraction(1, 2), Fraction(1), Fraction(1)))
+        live = Gamble(space3, (Fraction(1, 2), Fraction(1), Fraction(1)))
+        dead_at_c = Gamble(space3, (Fraction(1, 2), Fraction(1), Fraction(0)))
+        battery = [MultiplierProcess(space3, lambda s: first, period=1),
+                   MultiplierProcess(space3, lambda s: live if s.depth < 3 else dead_at_c)]
+        assert generate(GeneratorSpec.adversarial(battery, 3)).symbols == (0, 0, 0)
+        with pytest.raises(ModelInvariantError,
+                           match=re.escape("battery member not positive at ('A', 'A', 'A')")):
+            generate(GeneratorSpec.adversarial(battery, 6))
 
     def test_spec_validation(self, space3, vertices3):
         with pytest.raises(ModelInvariantError):
