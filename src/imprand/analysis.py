@@ -22,6 +22,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,18 +54,31 @@ from imprand.sequences import SequencePrefix
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Exact capital paths of a battery along a prefix.
+    """Exact evidence of a battery along a prefix.
 
-    All capitals are non-negative rationals (a factor may be 0); a step whose
-    factor is 1 repeats the previous capital object.  The mixture starts at
-    1 so deficiency is never negative.
+    ``factors[i][n]`` is the betting factor member i took at step n + 1 (an
+    object shared with the member's memo); the capital paths are computed from
+    them on first access of ``strategy_capitals``.  All capitals are
+    non-negative rationals (a factor may be 0); a step whose factor is 1
+    repeats the previous capital object.  The mixture starts at 1 so
+    deficiency is never negative.
     """
 
     prefix: SequencePrefix
-    strategy_capitals: Tuple[Tuple[Fraction, ...], ...]
+    factors: Tuple[Tuple[Fraction, ...], ...]
     mixture: Tuple[Fraction, ...]
     deficiency_bits: float
     argmax_step: int
+
+    @cached_property
+    def strategy_capitals(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        out = []
+        for taken in self.factors:
+            path = [Fraction(1)]
+            for factor in taken:
+                path.append(path[-1] if factor == 1 else path[-1] * factor)
+            out.append(tuple(path))
+        return tuple(out)
 
 
 def run_battery(
@@ -86,18 +100,14 @@ def run_battery(
     for part in (*battery, sys):
         _check_same_space(prefix, part)
 
-    def walk(period: Optional[int]) -> List[Tuple[List[Fraction], List[Fraction]]]:
-        """(capital path, factor taken at each step) of each member of the period."""
+    def walk(period: Optional[int]) -> List[List[Fraction]]:
+        """The factor taken at each step by each member of the period."""
         members = [D for D in battery if D.period == period]
-        out = [([Fraction(1)], []) for _ in members]
+        out: List[List[Fraction]] = [[] for _ in members]
         for n, x in enumerate(prefix.symbols):
             s = prefix.situation(n if period is None else n % period)
-            for member, (path, taken) in zip(members, out):
-                factor = member.factor(s)[x]
-                taken.append(factor)
-                # a unit factor keeps the capital object: no copy of its
-                # integers, and the CSV writer converts it to decimal once
-                path.append(path[-1] if factor == 1 else path[-1] * factor)
+            for member, taken in zip(members, out):
+                taken.append(member.factor(s)[x])
         return out
 
     # imported here: it would add about 6 ms to every import of imprand
@@ -106,7 +116,7 @@ def run_battery(
     periods = list(dict.fromkeys(D.period for D in battery))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         walks = dict(zip(periods, map(iter, pool.map(walk, periods))))
-    capitals, taken = zip(*(next(walks[D.period]) for D in battery))
+    taken = [next(walks[D.period]) for D in battery]
 
     # the mixture sum(w_i * c_i) as integers A_i over one denominator: each
     # step scales A_i by its factor over the step's common denominator q
@@ -133,7 +143,7 @@ def run_battery(
 
     return Trajectory(
         prefix=prefix,
-        strategy_capitals=tuple(tuple(path) for path in capitals),
+        factors=tuple(map(tuple, taken)),
         mixture=tuple(mixture),
         deficiency_bits=max(0.0, logs[best_at]),
         argmax_step=best_at,

@@ -134,11 +134,10 @@ def _cmd_analyze(args) -> int:
         "mixture_max": format_rational(trajectory.mixture[trajectory.argmax_step]),
         "argmax_step": trajectory.argmax_step,
     }
-    if args.out:
-        if args.format == "csv":
-            write_trajectory_csv(trajectory, args.out)
-        else:
-            _emit(report, args.out)
+    if args.format == "json":
+        _emit(report, args.out)
+    elif args.out:
+        write_trajectory_csv(trajectory, args.out)
     print(
         f"deficiency {trajectory.deficiency_bits:.6f} bits over {len(prefix)} steps "
         f"({len(battery)} strategies)"

@@ -9,9 +9,10 @@ meaning.
 from __future__ import annotations
 
 import csv
+import decimal
 import io
 import json
-import sys as _sys
+import math
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
@@ -335,44 +336,64 @@ def load_battery(path, space: SampleSpace) -> Tuple[BatteryEntry, ...]:
     return battery_from_list(_load_json(path), space, context=str(path))
 
 
+# Capitals are carried as exact decimal integers: multiplying or dividing by a
+# small int and str() take time linear in the digits, where converting a big
+# int to decimal takes time quadratic in them.  An inexact result raises.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+    traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation],
+)
+
+
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """One row per (step, strategy): exact capital plus the float mixture
     log2 at that step (-inf once the mixture is 0).  Step 0 has no symbol.
-    Exact capitals outgrow Python's int-to-str digit limit within a few
-    thousand steps, so the limit is lifted for the duration of the call.
-    Each distinct capital is converted to decimal once: a strategy whose
-    capital object repeats (a unit-factor step) reuses its previous text."""
+    The file is written a step at a time from the trajectory's factors: each
+    strategy's reduced capital N/D is kept as two decimal integers and takes
+    each factor a/b by Fraction's product rule (g1 = gcd(N, b), g2 = gcd(a, D),
+    then (N/g1)(a/g2) over (D/g2)(b/g1)), so no big int is ever converted to
+    decimal and Python's int-to-str digit limit does not apply."""
     prefix = trajectory.prefix
-    paths = trajectory.strategy_capitals
-    last = [None] * len(paths)  # each strategy's last capital object ...
-    text = [""] * len(paths)  # ... and its "num,den"
-    digits = _sys.get_int_max_str_digits()
-    _sys.set_int_max_str_digits(0)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["n", "symbol", "strategy_id", "capital_num", "capital_den", "mixture_log2"]
-            )
-            # only a step's head (n, symbol) can need quoting, so it alone goes
-            # through a csv writer; the integer and float fields are joined as is
-            end = writer.dialect.lineterminator
-            head = io.StringIO()
-            head_writer = csv.writer(head)
-            for n in range(len(prefix) + 1):
-                symbol = prefix.space.symbols[prefix.symbols[n - 1]] if n > 0 else ""
-                head.seek(0)
-                head.truncate()
-                head_writer.writerow([n, symbol])
-                lead = head.getvalue()[: -len(end)]
-                mixture = trajectory.mixture[n]
-                mix_log2 = repr(log2_rational(mixture)) if mixture else "-inf"
-                for i, path_i in enumerate(paths):
-                    c = path_i[n]
-                    if c is not last[i]:
-                        last[i], text[i] = c, f"{c.numerator},{c.denominator}"
-                fh.write("".join(
-                    f"{lead},{i},{t},{mix_log2}{end}" for i, t in enumerate(text)
-                ))
-    finally:
-        _sys.set_int_max_str_digits(digits)
+    factors = trajectory.factors
+    zero, one = decimal.Decimal(0), decimal.Decimal(1)
+    capitals = [(one, one)] * len(factors)  # each strategy's N, D ...
+    text = ["1,1"] * len(factors)  # ... and its "N,D"
+    with open(path, "w", encoding="utf-8", newline="") as fh, \
+            decimal.localcontext(_EXACT):
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["n", "symbol", "strategy_id", "capital_num", "capital_den", "mixture_log2"]
+        )
+        # only a step's head (n, symbol) can need quoting, so it alone goes
+        # through a csv writer; the integer and float fields are joined as is
+        end = writer.dialect.lineterminator
+        head = io.StringIO()
+        head_writer = csv.writer(head)
+        for n in range(len(prefix) + 1):
+            symbol = ""
+            if n > 0:
+                symbol = prefix.space.symbols[prefix.symbols[n - 1]]
+                for i, taken in enumerate(factors):
+                    factor = taken[n - 1]
+                    if factor == 1:
+                        continue  # the capital and its text are unchanged
+                    if factor == 0:
+                        N, D = zero, one
+                    else:
+                        a, b = factor.numerator, factor.denominator
+                        N, D = capitals[i]
+                        g1 = math.gcd(int(N % b), b)
+                        g2 = math.gcd(a, int(D % a))
+                        N = (N / g1 if g1 > 1 else N) * (a // g2)
+                        D = (D / g2 if g2 > 1 else D) * (b // g1)
+                    capitals[i] = N, D
+                    text[i] = f"{N!s},{D!s}"
+            head.seek(0)
+            head.truncate()
+            head_writer.writerow([n, symbol])
+            lead = head.getvalue()[: -len(end)]
+            mixture = trajectory.mixture[n]
+            mix_log2 = repr(log2_rational(mixture)) if mixture else "-inf"
+            fh.write("".join(
+                f"{lead},{i},{t},{mix_log2}{end}" for i, t in enumerate(text)
+            ))

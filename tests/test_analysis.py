@@ -217,6 +217,30 @@ class TestRunBattery:
             tracemalloc.stop()
         assert held < 8 * 2 ** 20
 
+    def test_trajectory_holds_factors_not_capitals(self, space3, anchor_sys, f_example):
+        # the walk keeps the factors taken (objects shared with the memos) and
+        # computes the capitals on first access; holding every capital of this
+        # 1000-step trajectory takes about 5.75 MiB
+        battery = [lln_strategy(p, anchor_sys)
+                   for p in default_battery(space3, (f_example,))[:24]]
+        p = ProbabilityMassFunction(space3, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
+        prefix = generate(GeneratorSpec.iid(p, 1000, seed=1))
+        tracemalloc.start()
+        try:
+            t = run_battery(prefix, anchor_sys, battery)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "strategy_capitals" not in vars(t)
+        assert held < 2 * 2 ** 20
+        capitals = []
+        for member in battery:
+            path = [Fraction(1)]
+            for n, x in enumerate(prefix.symbols):
+                path.append(path[-1] * member.factor(prefix.situation(n))[x])
+            capitals.append(tuple(path))
+        assert t.strategy_capitals == tuple(capitals)
+
     @pytest.mark.parametrize("factors,best_at", [
         # 1 + 2^-70 and a tie at steps 1 and 2 read 0.0 in floats, as does step 3
         ((1 + Fraction(1, 2 ** 70), 1, 1 + Fraction(1, 2 ** 80)), 3),

@@ -145,6 +145,18 @@ class TestAnalyze:
         assert Fraction(report["mixture_max"]) == Fraction(67, 64) ** 300
         assert report["argmax_step"] == 300
 
+    def test_json_report_without_out_goes_to_stdout(self, tmp_path, anchor_system_file,
+                                                    all_b_sequence_file, capsys):
+        battery = write_json(tmp_path, "battery.json", LLN_BATTERY)
+        code = main(["analyze", "--system", anchor_system_file, "--battery", battery,
+                     "--sequence", all_b_sequence_file, "--format", "json"])
+        assert code == 3
+        out = capsys.readouterr().out
+        report, end = json.JSONDecoder().raw_decode(out)
+        assert Fraction(report["mixture_max"]) == Fraction(67, 64) ** 300
+        assert report["argmax_step"] == 300
+        assert out[end:].strip().startswith("deficiency ")
+
     def test_exact_output_beyond_int_digit_limit(self, tmp_path,
                                                  anchor_system_file):
         # the weak strategy's capital (8000027/8000024)^n passes Python's

@@ -6,6 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imprand import (
     Gamble,
@@ -354,7 +355,7 @@ class TestTrajectoryCsv:
         # a library call, outside the CLI, under the default 4300-digit limit
         big = Fraction(3 ** 10000, 2 ** 10000)  # 4772 and 3011 digits
         prefix = SequencePrefix(space3, (1,))
-        t = Trajectory(prefix=prefix, strategy_capitals=((Fraction(1), big),),
+        t = Trajectory(prefix=prefix, factors=((big,),),
                        mixture=(Fraction(1), big), deficiency_bits=log2_rational(big),
                        argmax_step=1)
         path = tmp_path / "big.csv"
@@ -368,3 +369,34 @@ class TestTrajectoryCsv:
         finally:
             sys.set_int_max_str_digits(limit)
         assert path.read_text().splitlines()[-1] == expected
+
+
+# factors whose products need both reductions of the CSV's product rule: a
+# capital's numerator sharing a factor with the next denominator (g1) and its
+# denominator sharing one with the next numerator (g2), a zero, a unit, and a
+# numerator of 32 digits
+_CSV_FACTORS = tuple(map(Fraction, (
+    "2/3", "3/2", "9/4", "4/9", "5/6", "6/5", "7", "1/7", "0", "1", f"{6 ** 40}/35")))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), steps=st.integers(2, 30), members=st.integers(1, 3))
+def test_csv_capitals_are_the_fraction_products(tmp_path_factory, data, steps, members):
+    factors = [data.draw(st.lists(st.sampled_from(_CSV_FACTORS), min_size=steps,
+                                  max_size=steps)) for _ in range(members)]
+    factors[0][data.draw(st.integers(0, steps - 2))] = Fraction(0)  # more factors follow
+    space = SampleSpace(("A", "B"))
+    t = Trajectory(prefix=SequencePrefix(space, (0,) * steps),
+                   factors=tuple(map(tuple, factors)), mixture=(Fraction(1),) * (steps + 1),
+                   deficiency_bits=0.0, argmax_step=0)
+    path = tmp_path_factory.mktemp("csv") / "out.csv"
+    write_trajectory_csv(t, path)
+    with open(path, newline="") as fh:
+        rows = [(int(r["capital_num"]), int(r["capital_den"])) for r in csv.DictReader(fh)]
+    expected = []
+    capitals = [Fraction(1)] * members
+    for n in range(steps + 1):
+        if n:
+            capitals = [c * f[n - 1] for c, f in zip(capitals, factors)]
+        expected.extend((c.numerator, c.denominator) for c in capitals)
+    assert rows == expected
