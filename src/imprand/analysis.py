@@ -60,13 +60,16 @@ class Trajectory:
     object shared with the member's memo); the capital paths are computed from
     them on first access of ``strategy_capitals``.  All capitals are
     non-negative rationals (a factor may be 0); a step whose factor is 1
-    repeats the previous capital object.  The mixture starts at 1 so
-    deficiency is never negative.
+    repeats the previous capital object.  ``mixture_log2[n]`` is the log2 of
+    the mixture at step n (``-inf`` once it is 0), and ``mixture_max`` is its
+    exact value at ``argmax_step``, the first maximum.  The mixture starts at
+    1 so deficiency is never negative.
     """
 
     prefix: SequencePrefix
     factors: Tuple[Tuple[Fraction, ...], ...]
-    mixture: Tuple[Fraction, ...]
+    mixture_log2: Tuple[float, ...]
+    mixture_max: Fraction
     deficiency_bits: float
     argmax_step: int
 
@@ -129,12 +132,8 @@ def run_battery(
         mixture.append(Fraction(sum(weighted), den))
 
     # The first maximum, compared exactly only inside a float band below the
-    # top.  log2_rational truncates each operand to 53 bits (relative error
-    # below 2^-52, so under 4e-16 in log2), calls log2 on each (about 1 ulp of
-    # a result below 54, under 8e-15) and makes two float additions (under
-    # 4e-15 plus |value|·2^-53): its error is below 1e-13 + |value|·1e-15.
-    # Every step whose exact mixture equals the maximum is therefore within
-    # twice that of the top float, far inside 1e-9·max(1, |top|).
+    # top: by log2_rational's error bound, every step whose exact mixture
+    # equals the maximum is within 1e-9·max(1, |top|) of the top float.
     logs = [log2_rational(m) if m else -math.inf for m in mixture]
     top = max(logs)
     floor = top - 1e-9 * max(1.0, abs(top))
@@ -144,7 +143,8 @@ def run_battery(
     return Trajectory(
         prefix=prefix,
         factors=tuple(map(tuple, taken)),
-        mixture=tuple(mixture),
+        mixture_log2=tuple(logs),
+        mixture_max=mixture[best_at],
         deficiency_bits=max(0.0, logs[best_at]),
         argmax_step=best_at,
     )

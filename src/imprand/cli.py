@@ -25,6 +25,7 @@ from imprand.core import (
     ModelInvariantError,
     ProbabilityMassFunction,
     SpaceMismatchError,
+    _log2_at_least,
     format_rational,
     parse_rational,
 )
@@ -130,8 +131,8 @@ def _cmd_analyze(args) -> int:
         "strategies": len(battery),
         "deficiency_bits": trajectory.deficiency_bits,
         "threshold_bits": args.threshold_bits,
-        "exceeded": trajectory.deficiency_bits >= args.threshold_bits,
-        "mixture_max": format_rational(trajectory.mixture[trajectory.argmax_step]),
+        "exceeded": _log2_at_least(trajectory.mixture_max, args.threshold_bits),
+        "mixture_max": format_rational(trajectory.mixture_max),
         "argmax_step": trajectory.argmax_step,
     }
     if args.format == "json":

@@ -9,6 +9,7 @@ model arithmetic; conversions to float happen only at reporting boundaries
 
 from __future__ import annotations
 
+import decimal
 import math
 import re
 from dataclasses import dataclass
@@ -64,12 +65,11 @@ def as_rational(value: RationalLike) -> Fraction:
 
 
 def log2_rational(value: Fraction) -> float:
-    """log2 of a positive rational, accurate for arbitrarily large operands.
-
-    Normalises numerator and denominator by their bit lengths before calling
-    math.log2, so the result stays finite and ~1 ulp accurate even when the
-    operands far exceed float range.
-    """
+    """log2 of a positive rational, accurate for arbitrarily large operands:
+    each operand is truncated to 53 bits (under 4e-16 in log2), math.log2
+    errs by about 1 ulp of a result below 54 (under 8e-15), and two float
+    additions add under 4e-15 plus |value|*2^-53, so the error is below
+    1e-13 + |log2 value|*1e-15."""
     num, den = value.numerator, value.denominator
     if num <= 0:
         raise ValueError(f"log2 of non-positive rational {value}")
@@ -80,6 +80,29 @@ def log2_rational(value: Fraction) -> float:
         - math.log2(den >> shift_d)
         + (shift_n - shift_d)
     )
+
+
+def _log2_at_least(value: Fraction, t: float) -> bool:
+    """Exactly whether log2(value) >= t, for value > 0 and a finite t: the
+    float decides outside |bits - t| <= 1e-9*max(1, |t|) (log2_rational's
+    error bound); inside, an integral t compares value with 2^t, and any other
+    (2^t irrational) takes ln(value) - t*ln(2) at doubling precision until it
+    passes 10^(2-prec)*(1 + |ln value| + |t ln 2|), its rounding error bound."""
+    bits = log2_rational(value)
+    if abs(bits - t) > 1e-9 * max(1.0, abs(t)):
+        return bits > t
+    if t.is_integer():
+        return value >= Fraction(2) ** int(t)
+    prec = 40
+    while True:
+        ctx = decimal.Context(prec, Emin=decimal.MIN_EMIN)
+        ln_value = ctx.ln(ctx.divide(decimal.Decimal(value.numerator), value.denominator))
+        t_ln2 = ctx.multiply(decimal.Decimal(t), ctx.ln(2))
+        diff = ctx.subtract(ln_value, t_ln2)
+        size = ctx.add(1, ctx.add(ln_value.copy_abs(), t_ln2.copy_abs()))
+        if diff.copy_abs() > ctx.scaleb(size, 2 - prec):
+            return diff > 0
+        prec *= 2
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,11 @@ a >= 0) and superadditivity (E(f) + E(g) <= E(f+g)).  The representations:
   expectations of a finite vertex list of a credal set.
 * ``VacuousModel`` -- E(g) = min g, the maximally conservative model.
 * ``AnchorGammaModel`` -- the least conservative coherent lower expectation
-  with E(anchor) = gamma; evaluated by exact breakpoint enumeration of a
-  concave piecewise-linear program.
-* ``AnchorIntervalModel`` -- the least conservative coherent lower
-  expectation that pins [E(anchor), upper(anchor)] to a given interval; the
-  pointwise maximum of two AnchorGammaModel evaluations.
+  with E(anchor) = gamma: the credal set {p : gamma <= E_p(anchor)}.
+* ``AnchorIntervalModel`` -- the least conservative one with E(anchor) and
+  upper(anchor) in [lo, hi]: the credal set {p : lo <= E_p(anchor) <= hi}.
+
+Both anchored models take the minimum over their credal set's vertices.
 
 All evaluations are exact rational arithmetic.
 """
@@ -106,44 +106,28 @@ class VacuousModel(LowerExpectation):
         return g.minimum()
 
 
-def _anchored_floor_value(anchor: Gamble, gamma: Fraction, g: Gamble) -> Fraction:
-    """max over mu >= 0 of phi(mu) = min_x [g(x) - mu*(anchor(x) - gamma)].
-
-    phi is concave piecewise linear, so its maximum over mu >= 0 is attained
-    at mu = 0 or at a non-negative intersection of two of the K lines; all
-    candidates are enumerated exactly (O(K^2)).  When gamma = max(anchor) all
-    slopes are non-negative and the supremum is the mu -> infinity limit,
-    min{g(x) : anchor(x) = max anchor}.
-    """
-    slopes = [gamma - a for a in anchor.values]  # line x: g(x) + mu*slope(x)
-    if all(s >= 0 for s in slopes):
-        # phi is non-decreasing; positive-slope lines escape to +infinity.
-        return min(gx for gx, s in zip(g.values, slopes) if s == 0)
-
-    def phi(mu: Fraction) -> Fraction:
-        return min(gx + mu * s for gx, s in zip(g.values, slopes))
-
-    best = phi(Fraction(0))
-    k = len(slopes)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if slopes[i] == slopes[j]:
-                continue
-            mu = (g.values[j] - g.values[i]) / (slopes[i] - slopes[j])
-            if mu > 0:
-                value = phi(mu)
-                if value > best:
-                    best = value
-    return best
+def _slab_lower(anchor: Gamble, lo: Fraction, hi: Fraction, g: Gamble) -> Fraction:
+    """min E_p(g) over the credal set {p : lo <= E_p(anchor) <= hi}, taken on
+    its vertices: the point masses at x with lo <= anchor(x) <= hi and, on each
+    face E_p(anchor) = c in {lo, hi}, t*delta_x + (1 - t)*delta_y with
+    anchor(x) > c > anchor(y) and t = (c - anchor(y)) / (anchor(x) - anchor(y))."""
+    points = list(zip(anchor.values, g.values))
+    candidates = [gx for ax, gx in points if lo <= ax <= hi]
+    for c in {lo, hi}:
+        for ax, gx in points:
+            for ay, gy in points:
+                if ax > c > ay:
+                    candidates.append(gy + (c - ay) / (ax - ay) * (gx - gy))
+    return min(candidates)
 
 
 @dataclass(frozen=True)
 class AnchorGammaModel(LowerExpectation):
     """Least conservative coherent lower expectation with lower(anchor) = gamma.
 
-    Satisfies lower(anchor) = gamma and upper(anchor) = max(anchor) exactly,
-    and is dominated by every coherent lower expectation E' with
-    gamma <= E'(anchor).
+    The credal set {p : gamma <= E_p(anchor) <= max(anchor)}: satisfies
+    lower(anchor) = gamma and upper(anchor) = max(anchor) exactly, and is
+    dominated by every coherent lower expectation E' with gamma <= E'(anchor).
     """
 
     anchor: Gamble
@@ -163,16 +147,15 @@ class AnchorGammaModel(LowerExpectation):
 
     def lower(self, g: Gamble) -> Fraction:
         _check_same_space(self, g)
-        return _anchored_floor_value(self.anchor, self.gamma, g)
+        return _slab_lower(self.anchor, self.gamma, self.anchor.maximum(), g)
 
 
 @dataclass(frozen=True)
 class AnchorIntervalModel(LowerExpectation):
     """Least conservative model pinning the anchor's expectation interval.
 
-    lower(g) is the max of the two one-sided anchored evaluations: the floor
-    at min(interval) on the anchor, and the floor at -max(interval) on the
-    negated anchor.
+    The credal set {p : interval.lo <= E_p(anchor) <= interval.hi}; lower(g)
+    is the minimum of E_p(g) over its vertices.
     """
 
     anchor: Gamble
@@ -192,9 +175,7 @@ class AnchorIntervalModel(LowerExpectation):
 
     def lower(self, g: Gamble) -> Fraction:
         _check_same_space(self, g)
-        low_side = _anchored_floor_value(self.anchor, self.interval.lo, g)
-        high_side = _anchored_floor_value(-self.anchor, -self.interval.hi, g)
-        return max(low_side, high_side)
+        return _slab_lower(self.anchor, self.interval.lo, self.interval.hi, g)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from imprand.core import (
     ProbabilityMassFunction,
     SampleSpace,
     format_rational,
-    log2_rational,
     parse_rational,
 )
 from imprand.lowerexp import (
@@ -364,15 +363,16 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
         writer.writerow(
             ["n", "symbol", "strategy_id", "capital_num", "capital_den", "mixture_log2"]
         )
-        # only a step's head (n, symbol) can need quoting, so it alone goes
-        # through a csv writer; the integer and float fields are joined as is
+        # only a symbol can need quoting: each symbol's field comes from a csv
+        # writer once (a symbol holds no whitespace, so no line terminator)
         end = writer.dialect.lineterminator
-        head = io.StringIO()
-        head_writer = csv.writer(head)
+        quoted = io.StringIO()
+        csv.writer(quoted).writerows([t] for t in prefix.space.symbols)
+        fields = quoted.getvalue().split(end)
         for n in range(len(prefix) + 1):
             symbol = ""
             if n > 0:
-                symbol = prefix.space.symbols[prefix.symbols[n - 1]]
+                symbol = fields[prefix.symbols[n - 1]]
                 for i, taken in enumerate(factors):
                     factor = taken[n - 1]
                     if factor == 1:
@@ -388,12 +388,7 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
                         D = (D / g2 if g2 > 1 else D) * (b // g1)
                     capitals[i] = N, D
                     text[i] = f"{N!s},{D!s}"
-            head.seek(0)
-            head.truncate()
-            head_writer.writerow([n, symbol])
-            lead = head.getvalue()[: -len(end)]
-            mixture = trajectory.mixture[n]
-            mix_log2 = repr(log2_rational(mixture)) if mixture else "-inf"
+            mix_log2 = repr(trajectory.mixture_log2[n])
             fh.write("".join(
-                f"{lead},{i},{t},{mix_log2}{end}" for i, t in enumerate(text)
+                f"{n},{symbol},{i},{t},{mix_log2}{end}" for i, t in enumerate(text)
             ))

@@ -73,7 +73,7 @@ class TestRunBattery:
         prefix = SequencePrefix(space3, (1,) * 64)
         t = run_battery(prefix, anchor_sys, [anchor_strategy])
         assert t.strategy_capitals[0][-1] == Fraction(67, 64) ** 64
-        assert t.mixture[-1] == Fraction(67, 64) ** 64
+        assert t.mixture_max == Fraction(67, 64) ** 64
         expected_bits = 64 * 0.06608919045777575  # log2(67/64)
         assert abs(t.deficiency_bits - expected_bits) < 1e-9
         assert t.argmax_step == 64
@@ -88,7 +88,7 @@ class TestRunBattery:
         assert t.strategy_capitals[0] == (
             Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(3, 8),
             Fraction(9, 16), Fraction(9, 32))
-        assert max(t.mixture) <= 1
+        assert t.mixture_max <= 1
         assert t.deficiency_bits == 0.0
         t = run_battery(SequencePrefix(space3, (0, 2, 0)), sys, [halving_multiplier])
         assert t.deficiency_bits == 0.0
@@ -124,7 +124,8 @@ class TestRunBattery:
                 for threads in (2, 3, 4):
                     b = run_battery(prefix, anchor_sys, members, threads=threads)
                     assert b.strategy_capitals == a.strategy_capitals
-                    assert b.mixture == a.mixture
+                    assert b.mixture_log2 == a.mixture_log2
+                    assert b.mixture_max == a.mixture_max
                     assert b.argmax_step == a.argmax_step
         finally:
             setswitchinterval(interval)
@@ -241,6 +242,24 @@ class TestRunBattery:
             capitals.append(tuple(path))
         assert t.strategy_capitals == tuple(capitals)
 
+    def test_trajectory_holds_log2_path_not_mixture(self, space3, anchor_sys, f_example):
+        # the trajectory keeps each step's log2 mixture and the exact peak; the
+        # exact mixture at every step of this 2000-step walk took about 3.3 MiB
+        battery = [lln_strategy(p, anchor_sys)
+                   for p in default_battery(space3, (f_example,))[:24]]
+        p = ProbabilityMassFunction(space3, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
+        prefix = generate(GeneratorSpec.iid(p, 2000, seed=1))
+        run_battery(prefix, anchor_sys, battery)  # first-call imports and memos
+        tracemalloc.start()
+        try:
+            t = run_battery(prefix, anchor_sys, battery)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert "strategy_capitals" not in vars(t)
+        assert held < 2 ** 20
+        assert len(t.mixture_log2) == 2001
+
     @pytest.mark.parametrize("factors,best_at", [
         # 1 + 2^-70 and a tie at steps 1 and 2 read 0.0 in floats, as does step 3
         ((1 + Fraction(1, 2 ** 70), 1, 1 + Fraction(1, 2 ** 80)), 3),
@@ -254,8 +273,11 @@ class TestRunBattery:
         member = MultiplierProcess(space3, lambda s: gambles[s.depth])
         prefix = SequencePrefix(space3, (0,) * len(factors))
         t = run_battery(prefix, StationarySystem(VacuousModel(space3)), [member])
-        m = t.mixture
+        m = [Fraction(1)]
+        for v in factors:
+            m.append(m[-1] * v)
         assert t.argmax_step == max(range(len(m)), key=m.__getitem__) == best_at
+        assert t.mixture_max == m[best_at]
         assert t.deficiency_bits == max(0.0, log2_rational(m[best_at]))
 
 
@@ -302,7 +324,9 @@ def test_run_battery_matches_fraction_mixture(members, symbols):
         battery = [MultiplierProcess(space, fn, period) for period, fn in members]
         t = run_battery(prefix, sys, battery, threads=threads)
         assert t.strategy_capitals == tuple(capitals)
-        assert t.mixture == mixture
+        assert t.mixture_log2 == tuple(log2_rational(m) if m else -math.inf
+                                       for m in mixture)
+        assert t.mixture_max == mixture[best_at]
         assert t.argmax_step == best_at
         assert t.deficiency_bits == max(0.0, log2_rational(mixture[best_at]))
 
@@ -326,7 +350,7 @@ class TestFastPath:
             assert abs(fast.deficiency_bits - exact.deficiency_bits) < 1e-7
             assert len(fast.mixture_log2) == length + 1
             for n in {0, 1, 57, length} & set(range(length + 1)):
-                assert abs(fast.mixture_log2[n] - log2_rational(exact.mixture[n])) < 1e-7
+                assert abs(fast.mixture_log2[n] - exact.mixture_log2[n]) < 1e-7
 
     @pytest.mark.parametrize("system, selection", [
         (StationarySystem, SelectionProcess.from_table({}, default=1)),
@@ -570,7 +594,7 @@ def test_vacuous_absorbs_small(space3, f_example):
             space3, tuple(rng.choice([0, 1, 2]) for _ in range(100)))
         t = run_battery(prefix, sys, battery)
         assert t.deficiency_bits == 0.0
-        assert max(t.mixture) <= 1
+        assert t.mixture_max <= 1
 
 
 def test_space_mismatch_names_left_then_right(space3, vertices3, anchor_sys,

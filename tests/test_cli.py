@@ -4,6 +4,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -62,6 +63,8 @@ LLN_BATTERY = [{
 # implementation that summed the mixture in Fractions and wrote every row through
 # csv.writer; integer sums and joined rows must not change a byte
 _CSV_GOLDEN_SHA256 = "43b37f5af2d93ec06fca153df74bbcfe11d46d04efb88cf0c9af513ba5f27b88"
+
+_S = 2 ** 200  # the denominator of the factors next to 2^10.5
 
 
 def write_json(tmp_path, name, obj):
@@ -206,6 +209,31 @@ class TestAnalyze:
         assert rows[1] == ["0", "", "0", "1", "1", "0.0"]
         assert rows[2] == ["1", "A", "0", "0", "1", "-inf"]
         assert rows[3] == ["2", "B", "0", "0", "1", "-inf"]
+
+    @pytest.mark.parametrize("factor, threshold, code", [
+        # 1024 - 2^-40: its float log2 rounds up to exactly 10
+        (Fraction(1125899906842623, 1099511627776), "10", 0),
+        (Fraction(1024), "10", 3),
+        # within 2^-200 below and above 2^10.5, which is irrational
+        (Fraction(isqrt(2 ** 21 * _S ** 2), _S), "10.5", 0),
+        (Fraction(isqrt(2 ** 21 * _S ** 2) + 1, _S), "10.5", 3),
+    ], ids=["below-10", "at-10", "below-10.5", "above-10.5"])
+    def test_threshold_is_decided_on_the_exact_peak(self, tmp_path, factor, threshold,
+                                                    code):
+        # one member, so after the one step the mixture is its factor
+        battery = write_json(tmp_path, "battery.json", [
+            {"type": "multiplier", "rows": [], "default": [str(factor)] * 2}])
+        system = write_json(tmp_path, "system.json", {
+            "kind": "stationary", "models": [{"alphabet": ["A", "B"], "kind": "vacuous"}]})
+        seq = tmp_path / "a.txt"
+        seq.write_text("# alphabet: A B\nA\n")
+        out = tmp_path / "report.json"
+        assert main(["analyze", "--system", system, "--battery", battery,
+                     "--sequence", str(seq), "--threshold-bits", threshold,
+                     "--format", "json", "--out", str(out)]) == code
+        report = json.loads(out.read_text())
+        assert report["exceeded"] is (code == 3)
+        assert Fraction(report["mixture_max"]) == factor
 
     def test_non_integer_selection_modulus_exits_one(self, tmp_path,
                                                      anchor_system_file,

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -49,6 +50,25 @@ def credal_vertex_min(anchor, gamma, g):
         t = (gamma - ay) / (ax - ay)
         candidates.append(t * gx + (1 - t) * gy)
     return min(candidates)
+
+
+def slab_vertex_min(anchor, lo, hi, g):
+    """Independent exact oracle: the vertices of {p : lo <= E_p(anchor) <= hi}
+    as mass functions, the point masses inside the slab plus the two-point
+    mixtures on either face, each checked against the constraint."""
+    space = anchor.space
+    vertices = [ProbabilityMassFunction.point_mass(space, t)
+                for x, t in enumerate(space.symbols) if lo <= anchor[x] <= hi]
+    for c in (lo, hi):
+        for x, y in itertools.permutations(range(space.size), 2):
+            if anchor[x] > c > anchor[y]:
+                t = (c - anchor[y]) / (anchor[x] - anchor[y])
+                weights = [Fraction(0)] * space.size
+                weights[x], weights[y] = t, 1 - t
+                vertices.append(ProbabilityMassFunction(space, weights))
+    for p in vertices:
+        assert lo <= linear_expectation(p, anchor) <= hi
+    return min(linear_expectation(p, g) for p in vertices)
 
 
 class TestEnvelope:
@@ -129,6 +149,20 @@ class TestAnchorInterval:
         model = AnchorIntervalModel(
             anchor=f_example, interval=IntervalQ(Fraction(1, 4), Fraction(1, 4)))
         assert model.lower(f_example) == model.upper(f_example) == Fraction(1, 4)
+
+    def test_matches_one_sided_models_and_slab_vertices(self):
+        rng = random.Random(14)
+        for _ in range(200):
+            space = rand_space(rng)
+            anchor = rand_gamble(rng, space)
+            low, high = anchor.minimum(), anchor.maximum()
+            lo, hi = sorted(low + (high - low) * Fraction(rng.randint(0, 8), 8)
+                            for _ in range(2))
+            g = rand_gamble(rng, space)
+            exact = AnchorIntervalModel(anchor=anchor, interval=IntervalQ(lo, hi)).lower(g)
+            assert exact == max(AnchorGammaModel(anchor=anchor, gamma=lo).lower(g),
+                                AnchorGammaModel(anchor=-anchor, gamma=-hi).lower(g))
+            assert exact == slab_vertex_min(anchor, lo, hi, g)
 
     def test_interval_outside_range_rejected(self, f_example):
         with pytest.raises(ModelInvariantError):

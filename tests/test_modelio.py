@@ -27,6 +27,7 @@ from imprand import (
     load_gamble,
     load_model,
     load_system,
+    mixture_weights,
     model_from_dict,
     model_to_dict,
     run_battery,
@@ -339,11 +340,13 @@ class TestTrajectoryCsv:
         write_trajectory_csv(t, path)
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
+        weights = mixture_weights(len(t.strategy_capitals))
         writer.writerow(["n", "symbol", "strategy_id", "capital_num", "capital_den",
                          "mixture_log2"])
         for n in range(len(prefix) + 1):
             symbol = space.symbols[prefix.symbols[n - 1]] if n else ""
-            mix = repr(log2_rational(t.mixture[n])) if t.mixture[n] else "-inf"
+            mixture = sum(w * path_i[n] for w, path_i in zip(weights, t.strategy_capitals))
+            mix = repr(log2_rational(mixture)) if mixture else "-inf"
             for i, path_i in enumerate(t.strategy_capitals):
                 writer.writerow([n, symbol, i, path_i[n].numerator,
                                  path_i[n].denominator, mix])
@@ -356,7 +359,8 @@ class TestTrajectoryCsv:
         big = Fraction(3 ** 10000, 2 ** 10000)  # 4772 and 3011 digits
         prefix = SequencePrefix(space3, (1,))
         t = Trajectory(prefix=prefix, factors=((big,),),
-                       mixture=(Fraction(1), big), deficiency_bits=log2_rational(big),
+                       mixture_log2=(0.0, log2_rational(big)), mixture_max=big,
+                       deficiency_bits=log2_rational(big),
                        argmax_step=1)
         path = tmp_path / "big.csv"
         limit = sys.get_int_max_str_digits()
@@ -387,8 +391,8 @@ def test_csv_capitals_are_the_fraction_products(tmp_path_factory, data, steps, m
     factors[0][data.draw(st.integers(0, steps - 2))] = Fraction(0)  # more factors follow
     space = SampleSpace(("A", "B"))
     t = Trajectory(prefix=SequencePrefix(space, (0,) * steps),
-                   factors=tuple(map(tuple, factors)), mixture=(Fraction(1),) * (steps + 1),
-                   deficiency_bits=0.0, argmax_step=0)
+                   factors=tuple(map(tuple, factors)),
+                   mixture_log2=(0.0,) * (steps + 1), mixture_max=Fraction(1), deficiency_bits=0.0, argmax_step=0)
     path = tmp_path_factory.mktemp("csv") / "out.csv"
     write_trajectory_csv(t, path)
     with open(path, newline="") as fh:
