@@ -22,7 +22,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,6 +31,7 @@ from imprand.core import (
     ModelInvariantError,
     SampleSpace,
     _check_same_space,
+    _log2_band,
     as_rational,
     log2_rational,
 )
@@ -57,13 +57,12 @@ class Trajectory:
     """Exact evidence of a battery along a prefix.
 
     ``factors[i][n]`` is the betting factor member i took at step n + 1 (an
-    object shared with the member's memo); the capital paths are computed from
-    them on first access of ``strategy_capitals``.  All capitals are
-    non-negative rationals (a factor may be 0); a step whose factor is 1
-    repeats the previous capital object.  ``mixture_log2[n]`` is the log2 of
-    the mixture at step n (``-inf`` once it is 0), and ``mixture_max`` is its
-    exact value at ``argmax_step``, the first maximum.  The mixture starts at
-    1 so deficiency is never negative.
+    object shared with the member's memo); member i's capital at step n is the
+    product of its first n factors, a non-negative rational (a factor may be
+    0).  ``mixture_log2[n]`` is the log2 of the mixture at step n (``-inf``
+    once it is 0), and ``mixture_max`` is its exact value at ``argmax_step``,
+    the first maximum.  The mixture starts at 1 so deficiency is never
+    negative.
     """
 
     prefix: SequencePrefix
@@ -72,16 +71,6 @@ class Trajectory:
     mixture_max: Fraction
     deficiency_bits: float
     argmax_step: int
-
-    @cached_property
-    def strategy_capitals(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        out = []
-        for taken in self.factors:
-            path = [Fraction(1)]
-            for factor in taken:
-                path.append(path[-1] if factor == 1 else path[-1] * factor)
-            out.append(tuple(path))
-        return tuple(out)
 
 
 def run_battery(
@@ -121,30 +110,28 @@ def run_battery(
         walks = dict(zip(periods, map(iter, pool.map(walk, periods))))
     taken = [next(walks[D.period]) for D in battery]
 
-    # the mixture sum(w_i * c_i) as integers A_i over one denominator: each
-    # step scales A_i by its factor over the step's common denominator q
+    # One pass over the mixture sum(w_i * c_i) as integers A_i over one
+    # denominator, each step scaling A_i by its factor over the step's common
+    # denominator q.  Only the best exact value so far is kept: floats decide
+    # outside its _log2_band, exact values inside (strictly: the first maximum).
     den, weighted = _over_common_denominator(mixture_weights(len(battery)))
-    mixture = [Fraction(sum(weighted), den)]
-    for column in zip(*taken):
+    best, best_at, logs = Fraction(1), 0, [0.0]  # the weights sum to 1
+    for n, column in enumerate(zip(*taken), start=1):
         q, nums = _over_common_denominator(column)
         weighted = [a * m for a, m in zip(weighted, nums)]
         den *= q
-        mixture.append(Fraction(sum(weighted), den))
-
-    # The first maximum, compared exactly only inside a float band below the
-    # top: by log2_rational's error bound, every step whose exact mixture
-    # equals the maximum is within 1e-9·max(1, |top|) of the top float.
-    logs = [log2_rational(m) if m else -math.inf for m in mixture]
-    top = max(logs)
-    floor = top - 1e-9 * max(1.0, abs(top))
-    band = [n for n, v in enumerate(logs) if v >= floor]
-    best_at = max(band, key=mixture.__getitem__)  # first maximum
+        mixture = Fraction(sum(weighted), den)
+        logs.append(log2_rational(mixture) if mixture else -math.inf)
+        top = logs[best_at]
+        b = _log2_band(top)
+        if logs[n] > top + b or (logs[n] >= top - b and mixture > best):
+            best, best_at = mixture, n
 
     return Trajectory(
         prefix=prefix,
         factors=tuple(map(tuple, taken)),
         mixture_log2=tuple(logs),
-        mixture_max=mixture[best_at],
+        mixture_max=best,
         deficiency_bits=max(0.0, logs[best_at]),
         argmax_step=best_at,
     )

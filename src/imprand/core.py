@@ -82,14 +82,19 @@ def log2_rational(value: Fraction) -> float:
     )
 
 
+def _log2_band(bits: float) -> float:
+    """Over twice log2_rational's error near bits: farther floats order as their rationals."""
+    return 1e-9 * max(1.0, abs(bits))
+
+
 def _log2_at_least(value: Fraction, t: float) -> bool:
     """Exactly whether log2(value) >= t, for value > 0 and a finite t: the
-    float decides outside |bits - t| <= 1e-9*max(1, |t|) (log2_rational's
-    error bound); inside, an integral t compares value with 2^t, and any other
-    (2^t irrational) takes ln(value) - t*ln(2) at doubling precision until it
-    passes 10^(2-prec)*(1 + |ln value| + |t ln 2|), its rounding error bound."""
+    float decides outside _log2_band(t) (log2_rational's error bound); inside,
+    an integral t compares value with 2^t, and any other (2^t irrational)
+    takes ln(value) - t*ln(2) at doubling precision until it passes
+    10^(2-prec)*(1 + |ln value| + |t ln 2|), its rounding error bound."""
     bits = log2_rational(value)
-    if abs(bits - t) > 1e-9 * max(1.0, abs(t)):
+    if abs(bits - t) > _log2_band(t):
         return bits > t
     if t.is_integer():
         return value >= Fraction(2) ** int(t)

@@ -68,6 +68,10 @@ class Situation:
     def depth(self) -> int:
         return len(self.symbols)
 
+    def situation(self, depth: int) -> "Situation":
+        """The situation after the first `depth` outcomes of this one."""
+        return Situation._trusted(self.space, self.symbols[:depth])
+
     def child(self, index: int) -> "Situation":
         index = _check_index(self.space, index)
         return Situation._trusted(self.space, self.symbols + (index,))

@@ -187,21 +187,28 @@ def classify_process(
     )
 
 
-def from_multiplier(D: MultiplierProcess) -> RationalProcess:
-    """Capital process generated by a multiplier: root value 1, child value
-    parent value times the parent's factor at the taken symbol.  A value
-    costs one factor call when its parent's is kept, else a walk from the root."""
+def _along_path(space: SampleSpace, root: Callable, step: Callable) -> RationalProcess:
+    """Value root() at the root and step(v, s, n) after the first n + 1 outcomes
+    of s, v being the value after the first n: one step from the parent's value
+    when that is kept (a walk or a sweep), else a walk from the root."""
 
-    def capital(s: Situation) -> Fraction:
+    def value(s: Situation) -> Fraction:
         path = s.symbols
         up = process._cached(path[:-1]) if path else None
-        start, value = (len(path) - 1, up) if up is not None else (0, Fraction(1))
+        start, v = (len(path) - 1, up) if up is not None else (0, root())
         for n in range(start, len(path)):
-            value *= D.factor(Situation._trusted(s.space, path[:n]))[path[n]]
-        return value
+            v = step(v, s, n)
+        return v
 
-    process = RationalProcess(D.space, capital)
+    process = RationalProcess(space, value)
     return process
+
+
+def from_multiplier(D: MultiplierProcess) -> RationalProcess:
+    """Capital process generated by a multiplier: root value 1, child value
+    parent value times the parent's factor at the taken symbol."""
+    return _along_path(D.space, lambda: Fraction(1),
+                       lambda v, s, n: v * D.factor(s.situation(n))[s.symbols[n]])
 
 
 @dataclass(frozen=True)
@@ -372,22 +379,13 @@ def rationalize(M: ApproxProcess) -> Tuple[RationalProcess, Fraction]:
 def cap_process(M: RationalProcess, k: int) -> RationalProcess:
     """Freeze the process at 2^k once its running max along the path first
     reaches 2^k; identity below the cap.  Preserves the supermartingale
-    property.  A value reads its parent's when that is kept (a walk or a
-    sweep), else walks M along the path's proper prefixes up to the cap."""
+    property.  A value at the cap stays there without asking M again."""
     if k < 0:
         raise ModelInvariantError(f"cap exponent must be non-negative, got {k}")
     cap = Fraction(2 ** k)
-
-    def eval_capped(s: Situation) -> Fraction:
-        path = s.symbols
-        up = capped._cached(path[:-1]) if path else None
-        # frozen at the cap as soon as the running max of M reaches it
-        prefixes = (Situation._trusted(s.space, path[:n]) for n in range(len(path)))
-        frozen = any(M.value(t) >= cap for t in prefixes) if up is None else up == cap
-        return cap if frozen else min(M.value(s), cap)
-
-    capped = RationalProcess(M.space, eval_capped)
-    return capped
+    return _along_path(
+        M.space, lambda: min(M.value(Situation.root(M.space)), cap),
+        lambda v, s, n: cap if v == cap else min(M.value(s.situation(n + 1)), cap))
 
 
 def mix(processes: Sequence[RationalProcess]) -> RationalProcess:

@@ -172,7 +172,7 @@ def save_model(model: LowerExpectation, path) -> None:
 
 def _load_json(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
@@ -197,7 +197,10 @@ def _situation_rows(rows, field: str, space: SampleSpace, context: str, parse) -
         tokens = row["situation"]
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise ParseError(f"{where}: 'situation' must be a list of token strings")
-        key = tuple(space.index_of(t) for t in tokens)
+        try:
+            key = tuple(space.index_of(t) for t in tokens)
+        except ModelInvariantError as exc:
+            raise ParseError(f"{where}: {exc}") from None
         if key in table:
             raise ParseError(f"{where}: situation {tokens} is given twice")
         table[key] = parse(row[field], where)

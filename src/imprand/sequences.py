@@ -32,15 +32,10 @@ from imprand.martingale import (
 
 class SequencePrefix(Situation):
     """A finite data prefix: the situation the data has reached, read one
-    depth at a time."""
+    depth at a time through :meth:`Situation.situation`."""
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def situation(self, depth: int) -> Situation:
-        """The situation after the first `depth` outcomes."""
-        # the prefix already validated its symbols
-        return Situation._trusted(self.space, self.symbols[:depth])
 
     def phase_counts(self, period: int) -> np.ndarray:
         """Cumulative (phase, symbol) counts, a read-only (period*K, N+1)
@@ -223,7 +218,7 @@ def read_sequence(path, space: Optional[SampleSpace] = None) -> SequencePrefix:
     header_space = None
     symbols: List[int] = []
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise ImprandError(f"{path}: not UTF-8 text: {exc}") from None

@@ -61,10 +61,18 @@ def anchor_strategy(space3, anchor_sys):
     return lln_strategy(params, anchor_sys)
 
 
+def capitals(member, prefix):
+    """The member's capital at every step of the prefix."""
+    M = from_multiplier(member)
+    return tuple(M.value(prefix.situation(n)) for n in range(len(prefix) + 1))
+
+
 class TestRunBattery:
     def test_empty_prefix(self, space3, anchor_sys, anchor_strategy):
-        t = run_battery(SequencePrefix(space3, ()), anchor_sys, [anchor_strategy])
-        assert t.strategy_capitals == ((Fraction(1),),)
+        prefix = SequencePrefix(space3, ())
+        t = run_battery(prefix, anchor_sys, [anchor_strategy])
+        assert capitals(anchor_strategy, prefix) == (Fraction(1),)
+        assert t.factors == ((),)
         assert t.deficiency_bits == 0.0
 
     def test_all_b_regression_fixture(self, space3, anchor_sys, anchor_strategy):
@@ -72,7 +80,7 @@ class TestRunBattery:
         # multiplies by 67/64
         prefix = SequencePrefix(space3, (1,) * 64)
         t = run_battery(prefix, anchor_sys, [anchor_strategy])
-        assert t.strategy_capitals[0][-1] == Fraction(67, 64) ** 64
+        assert capitals(anchor_strategy, prefix)[-1] == Fraction(67, 64) ** 64
         assert t.mixture_max == Fraction(67, 64) ** 64
         expected_bits = 64 * 0.06608919045777575  # log2(67/64)
         assert abs(t.deficiency_bits - expected_bits) < 1e-9
@@ -83,16 +91,17 @@ class TestRunBattery:
         sys = StationarySystem(envelope3)
         # on this path no prefix has more B's than non-B's, so the capital
         # (x1/2 on A/C, x3/2 on B) never exceeds 1
-        t = run_battery(SequencePrefix(space3, (0, 1, 2, 1, 0)), sys,
-                        [halving_multiplier])
-        assert t.strategy_capitals[0] == (
+        prefix = SequencePrefix(space3, (0, 1, 2, 1, 0))
+        t = run_battery(prefix, sys, [halving_multiplier])
+        assert capitals(halving_multiplier, prefix) == (
             Fraction(1), Fraction(1, 2), Fraction(3, 4), Fraction(3, 8),
             Fraction(9, 16), Fraction(9, 32))
         assert t.mixture_max <= 1
         assert t.deficiency_bits == 0.0
-        t = run_battery(SequencePrefix(space3, (0, 2, 0)), sys, [halving_multiplier])
+        prefix = SequencePrefix(space3, (0, 2, 0))
+        t = run_battery(prefix, sys, [halving_multiplier])
         assert t.deficiency_bits == 0.0
-        assert max(t.strategy_capitals[0]) <= 1
+        assert max(capitals(halving_multiplier, prefix)) <= 1
 
     def test_empty_battery_rejected(self, space3, anchor_sys):
         with pytest.raises(ModelInvariantError):
@@ -123,7 +132,7 @@ class TestRunBattery:
                 a = run_battery(prefix, anchor_sys, members, threads=1)
                 for threads in (2, 3, 4):
                     b = run_battery(prefix, anchor_sys, members, threads=threads)
-                    assert b.strategy_capitals == a.strategy_capitals
+                    assert b.factors == a.factors
                     assert b.mixture_log2 == a.mixture_log2
                     assert b.mixture_max == a.mixture_max
                     assert b.argmax_step == a.argmax_step
@@ -194,18 +203,18 @@ class TestRunBattery:
 
     def test_unit_factors_share_the_capital(self, space3, anchor_sys, f_example):
         # most factors of the residue-class members are exactly 1; such a step
-        # keeps the previous capital object instead of a copy of it
+        # keeps the previous capital
         battery = [lln_strategy(p, anchor_sys)
                    for p in default_battery(space3, (f_example,))[:24]]
         p = ProbabilityMassFunction(space3, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
         prefix = generate(GeneratorSpec.iid(p, 300, seed=1))
-        t = run_battery(prefix, anchor_sys, battery)
         units = 0
-        for member, path in zip(battery, t.strategy_capitals):
+        for member in battery:
+            path = capitals(member, prefix)
             for n, x in enumerate(prefix.symbols, start=1):
                 if member.factor(prefix.situation(n - 1))[x] == 1:
                     units += 1
-                    assert path[n] is path[n - 1]
+                    assert path[n] == path[n - 1]
         assert units > 24 * 300 // 3
         # the 1000-step trajectory holds about 5.8 MiB, and 9.9 MiB with a
         # new capital at every step
@@ -219,9 +228,8 @@ class TestRunBattery:
         assert held < 8 * 2 ** 20
 
     def test_trajectory_holds_factors_not_capitals(self, space3, anchor_sys, f_example):
-        # the walk keeps the factors taken (objects shared with the memos) and
-        # computes the capitals on first access; holding every capital of this
-        # 1000-step trajectory takes about 5.75 MiB
+        # the walk keeps the factors taken (objects shared with the memos);
+        # holding every capital of this 1000-step trajectory takes about 5.75 MiB
         battery = [lln_strategy(p, anchor_sys)
                    for p in default_battery(space3, (f_example,))[:24]]
         p = ProbabilityMassFunction(space3, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
@@ -232,15 +240,10 @@ class TestRunBattery:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert "strategy_capitals" not in vars(t)
         assert held < 2 * 2 ** 20
-        capitals = []
-        for member in battery:
-            path = [Fraction(1)]
-            for n, x in enumerate(prefix.symbols):
-                path.append(path[-1] * member.factor(prefix.situation(n))[x])
-            capitals.append(tuple(path))
-        assert t.strategy_capitals == tuple(capitals)
+        assert t.factors == tuple(
+            tuple(member.factor(prefix.situation(n))[x] for n, x in enumerate(prefix.symbols))
+            for member in battery)
 
     def test_trajectory_holds_log2_path_not_mixture(self, space3, anchor_sys, f_example):
         # the trajectory keeps each step's log2 mixture and the exact peak; the
@@ -256,9 +259,25 @@ class TestRunBattery:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert "strategy_capitals" not in vars(t)
         assert held < 2 ** 20
         assert len(t.mixture_log2) == 2001
+
+    def test_walk_peaks_near_what_the_trajectory_holds(self, space3, anchor_sys,
+                                                        f_example):
+        # the walk keeps only the best exact mixture so far; keeping every
+        # step's exact mixture until the argmax peaked at about 4.15 MiB here
+        battery = [lln_strategy(p, anchor_sys)
+                   for p in default_battery(space3, (f_example,))[:24]]
+        p = ProbabilityMassFunction(space3, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
+        prefix = generate(GeneratorSpec.iid(p, 2000, seed=1))
+        run_battery(prefix, anchor_sys, battery)  # first-call imports and memos
+        tracemalloc.start()
+        try:
+            run_battery(prefix, anchor_sys, battery)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
 
     @pytest.mark.parametrize("factors,best_at", [
         # 1 + 2^-70 and a tie at steps 1 and 2 read 0.0 in floats, as does step 3
@@ -310,11 +329,13 @@ def test_run_battery_matches_fraction_mixture(members, symbols):
     prefix = SequencePrefix(space, symbols)
     sys = StationarySystem(VacuousModel(space))
     # the reference walks the factor functions themselves and sums in Fractions
+    factors = tuple(tuple(fn(prefix.situation(n))[x] for n, x in enumerate(symbols))
+                    for _, fn in members)
     capitals = []
-    for _, fn in members:
+    for taken in factors:
         path = [Fraction(1)]
-        for n, x in enumerate(symbols):
-            path.append(path[-1] * fn(prefix.situation(n))[x])
+        for factor in taken:
+            path.append(path[-1] * factor)
         capitals.append(tuple(path))
     weights = mixture_weights(len(members))
     mixture = tuple(sum((w * c[n] for w, c in zip(weights, capitals)), start=Fraction(0))
@@ -323,7 +344,7 @@ def test_run_battery_matches_fraction_mixture(members, symbols):
     for threads in (1, 2):
         battery = [MultiplierProcess(space, fn, period) for period, fn in members]
         t = run_battery(prefix, sys, battery, threads=threads)
-        assert t.strategy_capitals == tuple(capitals)
+        assert t.factors == factors
         assert t.mixture_log2 == tuple(log2_rational(m) if m else -math.inf
                                        for m in mixture)
         assert t.mixture_max == mixture[best_at]

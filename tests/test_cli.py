@@ -254,6 +254,29 @@ class TestAnalyze:
         assert code == 1
         assert f"{battery}[0][0]: 'situation'" in capsys.readouterr().err
 
+    def test_multiplier_situation_unknown_token_exits_one(
+            self, tmp_path, anchor_system_file, iid_sequence_file, capsys):
+        entry = dict(HALVING_BATTERY[0],
+                     rows=[{"situation": ["A", "Z"], "factor": ["1", "1", "1"]}])
+        battery = write_json(tmp_path, "battery.json", [entry])
+        code = main(["analyze", "--system", anchor_system_file,
+                     "--battery", battery, "--sequence", iid_sequence_file])
+        assert code == 1
+        assert f"{battery}[0][0]: token 'Z' not in alphabet" in capsys.readouterr().err
+
+    def test_files_with_byte_order_marks_exit_zero(self, tmp_path, anchor_system_file,
+                                                   iid_sequence_file, capsys):
+        battery = write_json(tmp_path, "battery.json", LLN_BATTERY)
+        for name in (anchor_system_file, battery, iid_sequence_file):
+            with open(name, "rb") as fh:
+                data = fh.read()
+            with open(name, "wb") as fh:
+                fh.write(b"\xef\xbb\xbf" + data)
+        code = main(["analyze", "--system", anchor_system_file,
+                     "--battery", battery, "--sequence", iid_sequence_file])
+        assert code == 0
+        assert "deficiency" in capsys.readouterr().out
+
     @pytest.mark.parametrize("bad", ["sequence", "battery"])
     def test_non_utf8_file_exits_one(self, tmp_path, anchor_system_file,
                                      iid_sequence_file, capsys, bad):

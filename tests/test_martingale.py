@@ -3,6 +3,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from imprand import (
     ApproxProcess,
@@ -422,3 +423,52 @@ class TestCapAndMix:
         one = RationalProcess.constant(space3, Fraction(1))
         report = classify_process(mix([M, one]), StationarySystem(envelope3), 4)
         assert report.supermartingale and report.test
+
+
+# non-negative factors, zeros included, and path-keyed rows of them
+_path_factors = st.builds(Fraction, st.integers(0, 12), st.integers(1, 8))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(_path_factors, _path_factors, _path_factors),
+                     min_size=1, max_size=4),
+       symbols=st.lists(st.integers(0, 2), max_size=40),
+       k=st.integers(0, 6))
+def test_path_values_agree_cold_walked_and_swept(rows, symbols, k):
+    # capital and capped values read a kept parent value or walk from the root;
+    # either way they must equal the recursion written out here
+    space = SampleSpace(("A", "B", "C"))
+    gambles = [Gamble(space, row) for row in rows]
+
+    def fn(path):  # a factor that depends on the whole path
+        return gambles[sum((i + 1) * x for i, x in enumerate(path)) % len(gambles)]
+
+    cap = Fraction(2 ** k)
+
+    def expected(path):
+        running = [Fraction(1)]
+        for n, x in enumerate(path):
+            running.append(running[-1] * fn(path[:n])[x])
+        return running[-1], (cap if max(running) >= cap else running[-1])
+
+    def fresh():
+        D = MultiplierProcess(space, lambda s: fn(s.symbols))
+        return from_multiplier(D), cap_process(from_multiplier(D), k)
+
+    s = Situation(space, symbols)
+    depths = range(len(symbols) + 1)
+    reference = [expected(s.situation(d).symbols) for d in depths]
+
+    M, capped = fresh()  # cold: deepest first, no parent value kept
+    cold = [(M.value(s.situation(d)), capped.value(s.situation(d))) for d in reversed(depths)]
+    assert cold[::-1] == reference
+
+    M, capped = fresh()  # walked from the root
+    assert [(M.value(s.situation(d)), capped.value(s.situation(d))) for d in depths] == reference
+
+    M, capped = fresh()  # after a breadth-first sweep, then down the path
+    for t in iter_situations(space, 3):
+        assert (M.value(t), capped.value(t)) == expected(t.symbols)
+    tail = depths[min(3, len(symbols)):]
+    assert [(M.value(s.situation(d)), capped.value(s.situation(d))) for d in tail] == \
+        reference[tail.start:]

@@ -148,6 +148,7 @@ SITUATION_ROW_CASES = {
     "situation-not-strings": ([{"situation": [0]}], r"\[0\]: 'situation' must be a list"),
     "situation-twice": ([{"situation": ["A", "B"]}, {"situation": ["C"]},
                          {"situation": ["A", "B"]}], r"\[2\]: situation .* given twice"),
+    "unknown-token": ([{"situation": ["A", "Z"]}], r"\[0\]: token 'Z' not in alphabet"),
 }
 
 
@@ -198,8 +199,8 @@ class TestSystemJson:
             "default": model_to_dict(VacuousModel(space3)),
             "table": [{"situation": ["Z"], "model": model_to_dict(envelope3)}],
         }
-        with pytest.raises(ModelInvariantError):
-            system_from_dict(d)
+        with pytest.raises(ParseError, match=r"^sys\.json\[0\]: token 'Z'"):
+            system_from_dict(d, context="sys.json")
 
     @pytest.mark.parametrize("case", SITUATION_ROW_CASES)
     def test_table_rows_must_be_situation_lists_given_once(self, space3, envelope3,
@@ -209,6 +210,22 @@ class TestSystemJson:
              "table": rows}
         with pytest.raises(ParseError, match=r"^sys\.json" + message):
             system_from_dict(d, context="sys.json")
+
+
+def test_json_files_may_start_with_a_byte_order_mark(space3, envelope3, tmp_path):
+    sys_path, battery_path = tmp_path / "sys.json", tmp_path / "battery.json"
+    sys_path.write_bytes(b"\xef\xbb\xbf" + json.dumps(
+        system_to_dict(StationarySystem(envelope3))).encode("utf-8"))
+    entries = [{"type": "multiplier", "default": ["1/2", "3/2", "1/2"], "rows": []}]
+    battery_path.write_text(json.dumps(entries), encoding="utf-8-sig")
+    assert battery_path.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_system(sys_path) == StationarySystem(envelope3)
+    (proc,) = load_battery(battery_path, space3)
+    assert proc.factor(Situation(space3, ())).values == (
+        Fraction(1, 2), Fraction(3, 2), Fraction(1, 2))
+    # writers add no mark
+    save_system(StationarySystem(envelope3), sys_path)
+    assert sys_path.read_bytes().startswith(b"{")
 
 
 class TestGambleJson:
@@ -340,14 +357,20 @@ class TestTrajectoryCsv:
         write_trajectory_csv(t, path)
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
-        weights = mixture_weights(len(t.strategy_capitals))
+        capitals = []
+        for taken in t.factors:
+            path_i = [Fraction(1)]
+            for factor in taken:
+                path_i.append(path_i[-1] * factor)
+            capitals.append(path_i)
+        weights = mixture_weights(len(capitals))
         writer.writerow(["n", "symbol", "strategy_id", "capital_num", "capital_den",
                          "mixture_log2"])
         for n in range(len(prefix) + 1):
             symbol = space.symbols[prefix.symbols[n - 1]] if n else ""
-            mixture = sum(w * path_i[n] for w, path_i in zip(weights, t.strategy_capitals))
+            mixture = sum(w * path_i[n] for w, path_i in zip(weights, capitals))
             mix = repr(log2_rational(mixture)) if mixture else "-inf"
-            for i, path_i in enumerate(t.strategy_capitals):
+            for i, path_i in enumerate(capitals):
                 writer.writerow([n, symbol, i, path_i[n].numerator,
                                  path_i[n].denominator, mix])
         assert path.read_bytes() == expected.getvalue().encode("utf-8")

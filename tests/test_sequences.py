@@ -226,6 +226,18 @@ class TestSequenceFiles:
         assert read_sequence(path) == seq
         assert read_sequence(path, space3) == seq
 
+    def test_byte_order_mark_is_ignored(self, space3, tmp_path):
+        seq = SequencePrefix(space3, (0, 2, 1, 1))
+        path = tmp_path / "data.txt"
+        write_sequence(seq, path)
+        assert path.read_bytes().startswith(b"# alphabet:")  # written without one
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read_sequence(path) == seq
+        assert read_sequence(path, space3) == seq
+        # headerless, with the mark before the first token
+        path.write_bytes(b"\xef\xbb\xbfA C B B\n")
+        assert read_sequence(path, space3) == seq
+
     def test_unknown_token_reports_line(self, space3, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# alphabet: A B C\nA B\nC D\n")
