@@ -32,6 +32,7 @@ from imprand.core import (
     SampleSpace,
     _check_same_space,
     _log2_band,
+    _log2_ratio,
     as_rational,
     log2_rational,
 )
@@ -81,9 +82,9 @@ def run_battery(
 ) -> Trajectory:
     """Exact battery evaluation along a prefix; it only walks (an audit of a
     member is ``classify_process(from_multiplier(member), sys, depth)``).
-    Members of one period walk the prefix together, sharing one situation per
-    step (the phase's, or every prefix situation without a period); the walks
-    of different periods run on a pool of ``threads`` worker threads (>= 1)."""
+    A member with a period is asked once per phase the prefix reaches, members
+    without one share each step's situation, and the walks of different periods
+    run on a pool of ``threads`` worker threads (>= 1)."""
     battery = list(battery)
     if not battery:
         raise ModelInvariantError("battery must be non-empty")
@@ -92,15 +93,18 @@ def run_battery(
     for part in (*battery, sys):
         _check_same_space(prefix, part)
 
-    def walk(period: Optional[int]) -> List[List[Fraction]]:
+    def walk(period: Optional[int]) -> List[Tuple[Fraction, ...]]:
         """The factor taken at each step by each member of the period."""
         members = [D for D in battery if D.period == period]
-        out: List[List[Fraction]] = [[] for _ in members]
-        for n, x in enumerate(prefix.symbols):
-            s = prefix.situation(n if period is None else n % period)
-            for member, taken in zip(members, out):
-                taken.append(member.factor(s)[x])
-        return out
+        # a path reaches each depth once: without a period each depth is a phase
+        reached = len(prefix) if period is None else min(period, len(prefix))
+        rows: List[list] = [[] for _ in members]  # factor values at each phase
+        for t in range(reached):
+            s = prefix.situation(t)
+            for member, row in zip(members, rows):
+                row.append(member.factor(s).values)
+        return [tuple(row[n % reached][x] for n, x in enumerate(prefix.symbols))
+                for row in rows]
 
     # imported here: it would add about 6 ms to every import of imprand
     from concurrent.futures import ThreadPoolExecutor
@@ -108,30 +112,41 @@ def run_battery(
     periods = list(dict.fromkeys(D.period for D in battery))
     with ThreadPoolExecutor(max_workers=threads) as pool:
         walks = dict(zip(periods, map(iter, pool.map(walk, periods))))
-    taken = [next(walks[D.period]) for D in battery]
+    taken = tuple(next(walks[D.period]) for D in battery)
 
     # One pass over the mixture sum(w_i * c_i) as integers A_i over one
     # denominator, each step scaling A_i by its factor over the step's common
-    # denominator q.  Only the best exact value so far is kept: floats decide
-    # outside its _log2_band, exact values inside (strictly: the first maximum).
+    # denominator q.  Every prime of den divides base, the lcm of the weights'
+    # and the steps' q, so gcd(S % base, den % base, base) takes each prime that
+    # the step's sum S shares with den, in time linear in the digits; a prime
+    # shared more often than base holds needs a second round or, past that, one
+    # math.gcd.  The reduced pair is the Fraction's, so its log2 is
+    # log2_rational's, bit for bit.  Only the best pair so far is kept: floats
+    # decide outside its _log2_band, exact values inside (strictly: the first maximum).
     den, weighted = _over_common_denominator(mixture_weights(len(battery)))
-    best, best_at, logs = Fraction(1), 0, [0.0]  # the weights sum to 1
+    base, best, best_at, logs = den, (1, 1), 0, [0.0]  # the weights sum to 1
     for n, column in enumerate(zip(*taken), start=1):
         q, nums = _over_common_denominator(column)
         weighted = [a * m for a, m in zip(weighted, nums)]
         den *= q
-        mixture = Fraction(sum(weighted), den)
-        logs.append(log2_rational(mixture) if mixture else -math.inf)
+        base = math.lcm(base, q)
+        num, d = sum(weighted), den
+        for r in range(3 if num else 0):  # two rounds mod base, then one gcd
+            h = math.gcd(num % base, d % base, base) if r < 2 else math.gcd(num, d)
+            if h == 1:
+                break
+            num, d = num // h, d // h
+        logs.append(_log2_ratio(num, d) if num else -math.inf)
         top = logs[best_at]
         b = _log2_band(top)
-        if logs[n] > top + b or (logs[n] >= top - b and mixture > best):
-            best, best_at = mixture, n
+        if logs[n] > top + b or (logs[n] >= top - b and num * best[1] > best[0] * d):
+            best, best_at = (num, d), n
 
     return Trajectory(
         prefix=prefix,
-        factors=tuple(map(tuple, taken)),
+        factors=taken,
         mixture_log2=tuple(logs),
-        mixture_max=best,
+        mixture_max=Fraction(*best),
         deficiency_bits=max(0.0, logs[best_at]),
         argmax_step=best_at,
     )

@@ -70,9 +70,13 @@ def log2_rational(value: Fraction) -> float:
     errs by about 1 ulp of a result below 54 (under 8e-15), and two float
     additions add under 4e-15 plus |value|*2^-53, so the error is below
     1e-13 + |log2 value|*1e-15."""
-    num, den = value.numerator, value.denominator
-    if num <= 0:
+    if value.numerator <= 0:
         raise ValueError(f"log2 of non-positive rational {value}")
+    return _log2_ratio(value.numerator, value.denominator)
+
+
+def _log2_ratio(num: int, den: int) -> float:
+    """log2_rational of num/den for coprime positive integers."""
     shift_n = max(num.bit_length() - 53, 0)
     shift_d = max(den.bit_length() - 53, 0)
     return (

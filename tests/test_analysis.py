@@ -155,12 +155,19 @@ class TestRunBattery:
         path_keyed = Recording(space3, lambda s: one)
         other = Recording(space3, lambda s: one)
         periodic.asked, path_keyed.asked, other.asked = [], [], []
-        run_battery(SequencePrefix(space3, (1, 0, 2, 2) * 5), anchor_sys,
-                    [path_keyed, periodic, other])
-        assert [s.depth for s in periodic.asked] == [n % 3 for n in range(20)]
+        prefix = SequencePrefix(space3, (1, 0, 2, 2) * 5)
+        run_battery(prefix, anchor_sys, [path_keyed, periodic, other])
+        # a periodic member is asked once per phase, in order, on the data path
+        assert [s.symbols for s in periodic.asked] == [prefix.symbols[:t] for t in range(3)]
         assert [s.depth for s in path_keyed.asked] == list(range(20))
         # the members without a period share one situation per step
         assert all(s is t for s, t in zip(path_keyed.asked, other.asked, strict=True))
+        # a prefix shorter than the period never asks the phases it does not reach
+        long = Recording(space3, lambda s: one, period=5)
+        long.asked = []
+        t = run_battery(SequencePrefix(space3, (2, 1)), anchor_sys, [long])
+        assert [s.symbols for s in long.asked] == [(), (2,)]
+        assert t.factors == ((1, 1),)
 
     def test_memory_is_linear_in_steps(self, space3, anchor_sys):
         # a unit-factor member keeps every capital at 1, so the peak is the
@@ -265,19 +272,26 @@ class TestRunBattery:
     def test_walk_peaks_near_what_the_trajectory_holds(self, space3, anchor_sys,
                                                         f_example):
         # the walk keeps only the best exact mixture so far; keeping every
-        # step's exact mixture until the argmax peaked at about 4.15 MiB here
+        # step's exact mixture until the argmax peaked at about 4.15 MiB at
+        # n=2000.  It builds each member's factor tuple once: copying per-step
+        # factor lists into the trajectory peaked at 1.73 MiB at n=4000, where
+        # the trajectory holds 0.86 MiB
         battery = [lln_strategy(p, anchor_sys)
                    for p in default_battery(space3, (f_example,))[:24]]
         p = ProbabilityMassFunction(space3, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
-        prefix = generate(GeneratorSpec.iid(p, 2000, seed=1))
-        run_battery(prefix, anchor_sys, battery)  # first-call imports and memos
-        tracemalloc.start()
-        try:
-            run_battery(prefix, anchor_sys, battery)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * 2 ** 20
+        held, peak = {}, {}
+        for n in (2000, 4000):
+            prefix = generate(GeneratorSpec.iid(p, n, seed=1))
+            run_battery(prefix, anchor_sys, battery)  # first-call imports and memos
+            tracemalloc.start()
+            try:
+                t = run_battery(prefix, anchor_sys, battery)
+                held[n], peak[n] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(t.mixture_log2) == n + 1
+        assert peak[2000] < 1.5 * 2 ** 20
+        assert peak[4000] < 2 * held[4000], (held, peak)
 
     @pytest.mark.parametrize("factors,best_at", [
         # 1 + 2^-70 and a tie at steps 1 and 2 read 0.0 in floats, as does step 3
@@ -350,6 +364,48 @@ def test_run_battery_matches_fraction_mixture(members, symbols):
         assert t.mixture_max == mixture[best_at]
         assert t.argmax_step == best_at
         assert t.deficiency_bits == max(0.0, log2_rational(mixture[best_at]))
+
+
+def _phase_member(space, *rows):
+    """A member whose factor at depth n is the gamble rows[n % len(rows)]."""
+    gambles = [Gamble(space, row) for row in rows]
+    return MultiplierProcess(space, lambda s: gambles[s.depth % len(gambles)],
+                             period=len(gambles))
+
+
+def _constant(v):
+    return (Fraction(v),) * 3
+
+
+@pytest.mark.parametrize("rows,symbols", [
+    # capitals that cancel back to 1 every second step, so each step's sum and
+    # denominator share ever more factors of 2 and 3
+    ([[_constant("2/3"), _constant("3/2")], [_constant("9/8"), _constant("8/9")]],
+     (0, 1, 2) * 700),
+    # two members: the weights' denominator 3 also divides the factors'
+    # numerators and denominators
+    ([[("3/2", "1/3", "1")], [("4/3", "9/4", "2/3"), ("1", "3", "1/9")]],
+     tuple(random.Random(7).choices(range(3), k=600))),
+    # the mixture reaches 0 at step 5 and stays there
+    ([[("0", "2", "1")], [("2", "1/2", "0"), ("3", "1/3", "0")]],
+     (1, 1, 0, 1, 2) + tuple(random.Random(8).choices(range(3), k=300))),
+])
+def test_run_battery_matches_reduced_fraction_mixture(space3, rows, symbols):
+    battery = [_phase_member(space3, *r) for r in rows]
+    prefix = SequencePrefix(space3, symbols)
+    t = run_battery(prefix, StationarySystem(VacuousModel(space3)), battery)
+    weights = mixture_weights(len(battery))
+    capitals, mixture = [Fraction(1)] * len(battery), [Fraction(1)]
+    for n, x in enumerate(symbols):
+        capitals = [c * Fraction(r[n % len(r)][x]) for c, r in zip(capitals, rows)]
+        mixture.append(sum(w * c for w, c in zip(weights, capitals)))
+    # bit for bit: the float of each reduced Fraction, -inf at 0
+    assert [v.hex() for v in t.mixture_log2] == [
+        (log2_rational(m) if m else -math.inf).hex() for m in mixture]
+    best_at = mixture.index(max(mixture))
+    assert t.argmax_step == best_at
+    assert t.mixture_max == mixture[best_at]
+    assert t.deficiency_bits == max(0.0, log2_rational(mixture[best_at]))
 
 
 class TestFastPath:
