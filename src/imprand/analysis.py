@@ -47,6 +47,7 @@ from imprand.martingale import (
     LLNStrategyParams,
     MultiplierProcess,
     SelectionProcess,
+    _column_rule,
     _over_common_denominator,
     mixture_weights,
 )
@@ -84,7 +85,8 @@ def run_battery(
     member is ``classify_process(from_multiplier(member), sys, depth)``).
     A member with a period is asked once per phase the prefix reaches, members
     without one share each step's situation, and the walks of different periods
-    run on a pool of ``threads`` worker threads (>= 1)."""
+    run on a pool of ``threads`` worker threads (>= 1).  The mixture takes
+    each step's factors by _column_rule, once per (phase, symbol) with a period."""
     battery = list(battery)
     if not battery:
         raise ModelInvariantError("battery must be non-empty")
@@ -125,8 +127,9 @@ def run_battery(
     # decide outside its _log2_band, exact values inside (strictly: the first maximum).
     den, weighted = _over_common_denominator(mixture_weights(len(battery)))
     base, best, best_at, logs = den, (1, 1), 0, [0.0]  # the weights sum to 1
-    for n, column in enumerate(zip(*taken), start=1):
-        q, nums = _over_common_denominator(column)
+    _, column = _column_rule([D.period for D in battery])
+    for n, x in enumerate(prefix.symbols, start=1):
+        q, nums = column(n - 1, x, lambda: [row[n - 1] for row in taken])
         weighted = [a * m for a, m in zip(weighted, nums)]
         den *= q
         base = math.lcm(base, q)

@@ -424,3 +424,19 @@ def _over_common_denominator(values: Sequence[Fraction]) -> Tuple[int, List[int]
     q = 2^count - 1 are the integers 2^(count-1-i))."""
     q = math.lcm(*(v.denominator for v in values))
     return q, [v.numerator * (q // v.denominator) for v in values]
+
+
+def _column_rule(periods: Sequence[Optional[int]]) -> Tuple[Optional[int], Callable]:
+    """(L, column) for a battery with these member periods: ``column(depth, x,
+    values)`` is _over_common_denominator of ``values()``, the members' factors
+    at x in the situation of that depth.  With a joint period L they depend on
+    (depth mod L, x) alone and each pair is reduced once; else L is None."""
+    L, kept = joint_period(*periods), {}
+
+    def column(depth: int, x: int, values: Callable[[], Sequence[Fraction]]):
+        key = x if L is None else (depth % L, x)  # without L, the last column at x
+        if L is None or key not in kept:
+            kept[key] = _over_common_denominator(values())
+        return kept[key]
+
+    return L, column

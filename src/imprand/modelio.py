@@ -354,12 +354,20 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     strategy's reduced capital N/D is kept as two decimal integers and takes
     each factor a/b by Fraction's product rule (g1 = gcd(N, b), g2 = gcd(a, D),
     then (N/g1)(a/g2) over (D/g2)(b/g1)), so no big int is ever converted to
-    decimal and Python's int-to-str digit limit does not apply."""
+    decimal and Python's int-to-str digit limit does not apply.  Each distinct
+    factor's a and b are read once, and the gcds are skipped for a strategy
+    whose numerators share no prime with its denominators: they are then 1."""
     prefix = trajectory.prefix
-    factors = trajectory.factors
-    zero, one = decimal.Decimal(0), decimal.Decimal(1)
-    capitals = [(one, one)] * len(factors)  # each strategy's N, D ...
-    text = ["1,1"] * len(factors)  # ... and its "N,D"
+    if not trajectory.factors:
+        raise ModelInvariantError("trajectory has no strategies")
+    capitals = [(decimal.Decimal(1),) * 2] * len(trajectory.factors)  # N, D ...
+    text = [f"{i},1,1" for i in range(len(capitals))]  # ... and "i,N,D" of each
+    steps, reduce = [], []  # each strategy's factors as (a, b); whether gcds can exceed 1
+    for taken in trajectory.factors:
+        pairs = {id(f): (f.numerator, f.denominator) for f in taken}
+        steps.append(map(pairs.__getitem__, map(id, taken)))
+        tops = math.prod(a for a, _ in pairs.values() if a)
+        reduce.append(math.gcd(tops, math.prod(b for _, b in pairs.values())) > 1)
     with open(path, "w", encoding="utf-8", newline="") as fh, \
             decimal.localcontext(_EXACT):
         writer = csv.writer(fh)
@@ -372,26 +380,22 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
         quoted = io.StringIO()
         csv.writer(quoted).writerows([t] for t in prefix.space.symbols)
         fields = quoted.getvalue().split(end)
+        columns = zip(*steps)
         for n in range(len(prefix) + 1):
-            symbol = ""
-            if n > 0:
-                symbol = fields[prefix.symbols[n - 1]]
-                for i, taken in enumerate(factors):
-                    factor = taken[n - 1]
-                    if factor == 1:
-                        continue  # the capital and its text are unchanged
-                    if factor == 0:
-                        N, D = zero, one
-                    else:
-                        a, b = factor.numerator, factor.denominator
-                        N, D = capitals[i]
-                        g1 = math.gcd(int(N % b), b)
-                        g2 = math.gcd(a, int(D % a))
-                        N = (N / g1 if g1 > 1 else N) * (a // g2)
-                        D = (D / g2 if g2 > 1 else D) * (b // g1)
-                    capitals[i] = N, D
-                    text[i] = f"{N!s},{D!s}"
-            mix_log2 = repr(trajectory.mixture_log2[n])
-            fh.write("".join(
-                f"{n},{symbol},{i},{t},{mix_log2}{end}" for i, t in enumerate(text)
-            ))
+            for i, (a, b) in enumerate(next(columns) if n else ()):
+                if a == b:
+                    continue  # a factor 1: the capital and its text stand
+                N, D = capitals[i]
+                if not a:  # 0/1 takes every later factor by the full rule
+                    N, D, reduce[i] = decimal.Decimal(0), decimal.Decimal(1), True
+                elif reduce[i]:
+                    g1, g2 = math.gcd(int(N % b), b), math.gcd(a, int(D % a))
+                    N = (N / g1 if g1 > 1 else N) * (a // g2)
+                    D = (D / g2 if g2 > 1 else D) * (b // g1)
+                else:
+                    N, D = N * a, D * b
+                capitals[i], text[i] = (N, D), f"{i},{N!s},{D!s}"
+            # the step's rows, joined around their shared head and tail
+            head = f"{n},{fields[prefix.symbols[n - 1]] if n else ''},"
+            tail = f",{trajectory.mixture_log2[n]!r}{end}"
+            fh.write(head + (tail + head).join(text) + tail)

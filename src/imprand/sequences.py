@@ -25,6 +25,7 @@ from imprand.core import (
 from imprand.forecasting import Situation
 from imprand.martingale import (
     MultiplierProcess,
+    _column_rule,
     _over_common_denominator,
     mixture_weights,
 )
@@ -157,22 +158,27 @@ def _generate_adversarial(
     """Greedy descent: at each situation pick the symbol minimizing the exact
     renormalized mixture capital, ties broken by symbol order.  The mixture
     never exceeds 1 along the result, and battery member i stays below the
-    reciprocal of its mixture weight."""
+    reciprocal of its mixture weight.  Members of joint period L are asked at
+    the first L depths alone, and each column is checked once (_column_rule)."""
     space = battery[0].space
     # weighted capitals w_i * c_i as integers A_i over one denominator, which
     # every candidate shares and so never enters a comparison; capitals start at 1
     _, weighted = _over_common_denominator(mixture_weights(len(battery)))
-    s = Situation.root(space)
+    L, column = _column_rule([member.period for member in battery])
+    path: List[int] = []
 
-    for _ in range(length):
-        factors = [member.factor(s) for member in battery]
-        # candidate x is sum(A_i * num_i(x)) / (denominator * q_x); every x is
-        # visited, so each member's factor is checked for positivity at every
-        # symbol (a numerator over q_x > 0 has the factor's sign)
+    for n in range(length):
+        new = L is None or n < L  # the first depth of its (phase, symbol) columns
+        if new:
+            s = Situation._trusted(space, tuple(path))
+            factors = [member.factor(s) for member in battery]
+        # candidate x is sum(A_i * num_i(x)) / (denominator * q_x); each new
+        # column is checked at every symbol, so each member's factor is checked
+        # for positivity (a numerator over q_x > 0 has the factor's sign)
         best_x = best_total = best_q = best_nums = None
         for x in space:
-            q, nums = _over_common_denominator([g[x] for g in factors])
-            if min(nums) <= 0:
+            q, nums = column(n, x, lambda: [g[x] for g in factors])
+            if new and min(nums) <= 0:
                 raise ModelInvariantError(
                     f"battery member not positive at {s.tokens()!r}"
                 )
@@ -180,9 +186,9 @@ def _generate_adversarial(
             if best_total is None or total * best_q < best_total * q:
                 best_x, best_total, best_q, best_nums = x, total, q, nums
         weighted = [a * m for a, m in zip(weighted, best_nums)]
-        s = s.child(best_x)
+        path.append(best_x)
 
-    return SequencePrefix(space, s.symbols)
+    return SequencePrefix(space, path)
 
 
 _HEADER_PREFIX = "# alphabet:"

@@ -377,27 +377,48 @@ def _constant(v):
     return (Fraction(v),) * 3
 
 
-@pytest.mark.parametrize("rows,symbols", [
+def _periodic_rows(count, seed):
+    """Phase rows of count members of periods 1 to 4, with the factors of the
+    first LLN strategies against a pinned model: one over 16, 32 or 64, or 1."""
+    rng = random.Random(seed)
+    values = ("15/16", "19/16", "31/32", "35/32", "63/64", "67/64", "1")
+    return [[tuple(rng.choice(values) for _ in range(3)) for _ in range(period)]
+            for period in itertools.islice(itertools.cycle((1, 2, 2, 3, 3, 3, 4, 4, 4, 4)),
+                                           count)]
+
+
+@pytest.mark.parametrize("rows,symbols,keyed", [
     # capitals that cancel back to 1 every second step, so each step's sum and
     # denominator share ever more factors of 2 and 3
     ([[_constant("2/3"), _constant("3/2")], [_constant("9/8"), _constant("8/9")]],
-     (0, 1, 2) * 700),
+     (0, 1, 2) * 700, None),
     # two members: the weights' denominator 3 also divides the factors'
     # numerators and denominators
     ([[("3/2", "1/3", "1")], [("4/3", "9/4", "2/3"), ("1", "3", "1/9")]],
-     tuple(random.Random(7).choices(range(3), k=600))),
+     tuple(random.Random(7).choices(range(3), k=600)), None),
     # the mixture reaches 0 at step 5 and stays there
     ([[("0", "2", "1")], [("2", "1/2", "0"), ("3", "1/3", "0")]],
-     (1, 1, 0, 1, 2) + tuple(random.Random(8).choices(range(3), k=300))),
-])
-def test_run_battery_matches_reduced_fraction_mixture(space3, rows, symbols):
+     (1, 1, 0, 1, 2) + tuple(random.Random(8).choices(range(3), k=300)), None),
+    # 24 periodic members and one without a period, whose factor follows the
+    # parity of the path's symbol sum: the mixture is reduced at every step
+    (_periodic_rows(24, 9), tuple(random.Random(10).choices(range(3), k=400)),
+     [("2/3", "3/2", "1"), ("9/8", "1", "8/9")]),
+], ids=["rows0-symbols0", "rows1-symbols1", "rows2-symbols2", "periodic-and-path-keyed"])
+def test_run_battery_matches_reduced_fraction_mixture(space3, rows, symbols, keyed):
     battery = [_phase_member(space3, *r) for r in rows]
+    if keyed:
+        gambles = [Gamble(space3, row) for row in keyed]
+        battery.append(MultiplierProcess(
+            space3, lambda s: gambles[sum(s.symbols) % len(gambles)]))
     prefix = SequencePrefix(space3, symbols)
     t = run_battery(prefix, StationarySystem(VacuousModel(space3)), battery)
     weights = mixture_weights(len(battery))
     capitals, mixture = [Fraction(1)] * len(battery), [Fraction(1)]
     for n, x in enumerate(symbols):
-        capitals = [c * Fraction(r[n % len(r)][x]) for c, r in zip(capitals, rows)]
+        taken = [r[n % len(r)][x] for r in rows]
+        if keyed:
+            taken.append(keyed[sum(symbols[:n]) % len(keyed)][x])
+        capitals = [c * Fraction(v) for c, v in zip(capitals, taken)]
         mixture.append(sum(w * c for w, c in zip(weights, capitals)))
     # bit for bit: the float of each reduced Fraction, -inf at 0
     assert [v.hex() for v in t.mixture_log2] == [

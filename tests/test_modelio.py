@@ -377,6 +377,38 @@ class TestTrajectoryCsv:
         assert b'1,"a,b",0,3,2,' in path.read_bytes()
         assert b'2,"""q""",1,1,2,' in path.read_bytes()
 
+    def test_cancelling_beside_coprime_factors(self, tmp_path):
+        # the first member's factors cancel, so both reductions of the product
+        # rule act; the second's never do, so they are skipped, and it takes a
+        # 0 and then more factors, a capital that must stay 0/1
+        cancelling = tuple(map(Fraction, ("2/3", "3/2", "9/4", "2/3", "1", "2/3") * 3))
+        coprime = tuple(map(Fraction, ("15/16", "19/16", "1", "0", "19/16", "15/16") * 3))
+        steps = len(cancelling)
+        t = Trajectory(prefix=SequencePrefix(SampleSpace(("A", "B")), (1, 0) * (steps // 2)),
+                       factors=(cancelling, coprime), mixture_log2=(0.0,) * (steps + 1),
+                       mixture_max=Fraction(1), deficiency_bits=0.0, argmax_step=0)
+        path = tmp_path / "out.csv"
+        write_trajectory_csv(t, path)
+        with open(path, newline="") as fh:
+            rows = [(int(r["n"]), r["symbol"], int(r["strategy_id"]), int(r["capital_num"]),
+                     int(r["capital_den"])) for r in csv.DictReader(fh)]
+        expected, capitals = [], [Fraction(1)] * 2
+        for n in range(steps + 1):
+            if n:
+                capitals = [c * taken[n - 1] for c, taken in zip(capitals, t.factors)]
+            symbol = "AB"[t.prefix.symbols[n - 1]] if n else ""
+            expected.extend((n, symbol, i, c.numerator, c.denominator)
+                            for i, c in enumerate(capitals))
+        assert rows == expected
+        assert rows[-1][3:] == (0, 1)
+
+    def test_a_trajectory_without_strategies_is_rejected(self, tmp_path):
+        t = Trajectory(prefix=SequencePrefix(SampleSpace(("A", "B")), (0,)), factors=(),
+                       mixture_log2=(0.0, 0.0), mixture_max=Fraction(1),
+                       deficiency_bits=0.0, argmax_step=0)
+        with pytest.raises(ModelInvariantError, match="no strategies"):
+            write_trajectory_csv(t, tmp_path / "out.csv")
+
     def test_capitals_past_the_int_digit_limit(self, space3, tmp_path):
         # a library call, outside the CLI, under the default 4300-digit limit
         big = Fraction(3 ** 10000, 2 ** 10000)  # 4772 and 3011 digits

@@ -142,6 +142,31 @@ class TestGenerate:
             fns = [fn for _, fn in members]
             assert seq.symbols == _greedy_fraction_reference(space3, fns, 40)
 
+    def test_adversarial_asks_periodic_members_at_their_phase(self, space3):
+        # members of periods 2 and 3 (joint period 6), with coprime factor
+        # denominators, at lengths shorter and longer than the joint period
+        class Recording(MultiplierProcess):
+            def factor(self, s):
+                self.asked.append(s)
+                return super().factor(s)
+
+        rng = random.Random(11)
+        for length in (4, 40):
+            rows = [[Gamble(space3, tuple(Fraction(rng.randint(1, 30), rng.choice((2, 3, 5, 7)))
+                                          for _ in range(3))) for _ in range(period)]
+                    for period in (2, 3)]
+            fns = [lambda s, r=r: r[s.depth % len(r)] for r in rows]
+            battery = [Recording(space3, fn, len(r)) for fn, r in zip(fns, rows)]
+            for member in battery:
+                member.asked = []
+            seq = generate(GeneratorSpec.adversarial(battery, length))
+            assert seq.symbols == _greedy_fraction_reference(space3, fns, length)
+            # each member is asked once per joint phase the path reaches, in
+            # order, at the path's situation of that depth
+            for member in battery:
+                assert [s.symbols for s in member.asked] == [
+                    seq.symbols[:t] for t in range(min(6, length))]
+
     def test_adversarial_tie_goes_to_the_lower_symbol(self, space3):
         # with weights 2/3 and 1/3, B and C give the same weighted sum 1/2 at
         # the first step and A gives 1.  The tying sums have common
@@ -180,6 +205,20 @@ class TestGenerate:
         with pytest.raises(ModelInvariantError,
                            match=re.escape("battery member not positive at ('A', 'A', 'A')")):
             generate(GeneratorSpec.adversarial(battery, 6))
+
+    def test_adversarial_rejects_a_zero_at_the_first_depth_of_its_phase(self, space3):
+        # a period-2 member that is 0 at C on odd depths: the greedy takes A at
+        # depth 0, and the check fires at depth 1, the first situation of
+        # that phase, before any step repeats a phase
+        even = Gamble(space3, (Fraction(1, 2), Fraction(1), Fraction(1)))
+        odd = Gamble(space3, (Fraction(1, 2), Fraction(1), Fraction(0)))
+        battery = [MultiplierProcess(space3, lambda s: (even, odd)[s.depth % 2], period=2),
+                   MultiplierProcess(space3, lambda s: even, period=1)]
+        assert generate(GeneratorSpec.adversarial(battery, 1)).symbols == (0,)
+        for length in (2, 10):
+            with pytest.raises(ModelInvariantError,
+                               match=re.escape("battery member not positive at ('A',)")):
+                generate(GeneratorSpec.adversarial(battery, length))
 
     def test_spec_validation(self, space3, vertices3):
         with pytest.raises(ModelInvariantError):
