@@ -58,17 +58,17 @@ from imprand.sequences import SequencePrefix
 class Trajectory:
     """Exact evidence of a battery along a prefix.
 
-    ``factors[i][n]`` is the betting factor member i took at step n + 1 (an
-    object shared with the member's memo); member i's capital at step n is the
-    product of its first n factors, a non-negative rational (a factor may be
-    0).  ``mixture_log2[n]`` is the log2 of the mixture at step n (``-inf``
-    once it is 0), and ``mixture_max`` is its exact value at ``argmax_step``,
-    the first maximum.  The mixture starts at 1 so deficiency is never
-    negative.
+    ``factors[i]`` holds member i's K factor values once per phase, min(period, N)
+    rows with a period and N without; by one rule it took ``factors[i][n %
+    len(factors[i])][x]`` at step n + 1 on symbol x.  Its capital at step n is
+    the product of its first n factors, a non-negative rational (a factor may be
+    0).  ``mixture_log2[n]`` is the log2 of the mixture at step n (``-inf`` once
+    it is 0), and ``mixture_max`` is its exact value at ``argmax_step``, the
+    first maximum.  The mixture starts at 1 so deficiency is never negative.
     """
 
     prefix: SequencePrefix
-    factors: Tuple[Tuple[Fraction, ...], ...]
+    factors: Tuple[Tuple[Tuple[Fraction, ...], ...], ...]
     mixture_log2: Tuple[float, ...]
     mixture_max: Fraction
     deficiency_bits: float
@@ -95,18 +95,17 @@ def run_battery(
     for part in (*battery, sys):
         _check_same_space(prefix, part)
 
-    def walk(period: Optional[int]) -> List[Tuple[Fraction, ...]]:
-        """The factor taken at each step by each member of the period."""
+    def walk(period: Optional[int]) -> List[Tuple[Tuple[Fraction, ...], ...]]:
+        """The factor values of each member of the period at each phase reached."""
         members = [D for D in battery if D.period == period]
         # a path reaches each depth once: without a period each depth is a phase
         reached = len(prefix) if period is None else min(period, len(prefix))
-        rows: List[list] = [[] for _ in members]  # factor values at each phase
+        rows: List[list] = [[] for _ in members]
         for t in range(reached):
             s = prefix.situation(t)
             for member, row in zip(members, rows):
                 row.append(member.factor(s).values)
-        return [tuple(row[n % reached][x] for n, x in enumerate(prefix.symbols))
-                for row in rows]
+        return [tuple(row) for row in rows]
 
     # imported here: it would add about 6 ms to every import of imprand
     from concurrent.futures import ThreadPoolExecutor
@@ -129,7 +128,7 @@ def run_battery(
     base, best, best_at, logs = den, (1, 1), 0, [0.0]  # the weights sum to 1
     _, column = _column_rule([D.period for D in battery])
     for n, x in enumerate(prefix.symbols, start=1):
-        q, nums = column(n - 1, x, lambda: [row[n - 1] for row in taken])
+        q, nums = column(n - 1, x, taken)
         weighted = [a * m for a, m in zip(weighted, nums)]
         den *= q
         base = math.lcm(base, q)

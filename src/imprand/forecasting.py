@@ -70,6 +70,8 @@ class Situation:
 
     def situation(self, depth: int) -> "Situation":
         """The situation after the first `depth` outcomes of this one."""
+        if not 0 <= depth <= len(self.symbols):
+            raise ModelInvariantError(f"depth {depth} outside [0, {len(self.symbols)}]")
         return Situation._trusted(self.space, self.symbols[:depth])
 
     def child(self, index: int) -> "Situation":

@@ -428,15 +428,15 @@ def _over_common_denominator(values: Sequence[Fraction]) -> Tuple[int, List[int]
 
 def _column_rule(periods: Sequence[Optional[int]]) -> Tuple[Optional[int], Callable]:
     """(L, column) for a battery with these member periods: ``column(depth, x,
-    values)`` is _over_common_denominator of ``values()``, the members' factors
-    at x in the situation of that depth.  With a joint period L they depend on
-    (depth mod L, x) alone and each pair is reduced once; else L is None."""
+    rows)`` is _over_common_denominator of the members' factors at x and depth,
+    ``rows[i][depth % len(rows[i])][x]`` (``Trajectory.factors``' rule), reduced
+    once per (depth mod L, x) when the joint period L is not None."""
     L, kept = joint_period(*periods), {}
 
-    def column(depth: int, x: int, values: Callable[[], Sequence[Fraction]]):
+    def column(depth: int, x: int, rows: Sequence[Sequence[Sequence[Fraction]]]):
         key = x if L is None else (depth % L, x)  # without L, the last column at x
         if L is None or key not in kept:
-            kept[key] = _over_common_denominator(values())
+            kept[key] = _over_common_denominator([r[depth % len(r)][x] for r in rows])
         return kept[key]
 
     return L, column

@@ -312,14 +312,15 @@ def battery_from_list(
             _require_fields(
                 entry, {"type", "gamble", "direction", "epsilon", "selection"}, set(), where
             )
-            out.append(
-                LLNStrategyParams(
-                    f=Gamble(space, _rational_vector(entry["gamble"], where)),
-                    direction=entry["direction"],
-                    epsilon=_rational(entry["epsilon"], where),
-                    selection=_selection_from_dict(entry["selection"], where),
-                )
-            )
+            if (direction := entry["direction"]) not in ("lower", "upper"):
+                raise ParseError(f"{where}: direction must be lower|upper, got {direction!r}")
+            try:  # an epsilon outside (0, B) breaks the strategy's invariant
+                out.append(LLNStrategyParams(
+                    Gamble(space, _rational_vector(entry["gamble"], where)), direction,
+                    _rational(entry["epsilon"], where),
+                    _selection_from_dict(entry["selection"], where)))
+            except ModelInvariantError as exc:
+                raise ModelInvariantError(f"{where}: {exc}") from None
         elif entry["type"] == "multiplier":
             _require_fields(entry, {"type", "rows", "default"}, set(), where)
             default = Gamble(space, _rational_vector(entry["default"], where))
@@ -350,24 +351,22 @@ _EXACT = decimal.Context(
 def write_trajectory_csv(trajectory: Trajectory, path) -> None:
     """One row per (step, strategy): exact capital plus the float mixture
     log2 at that step (-inf once the mixture is 0).  Step 0 has no symbol.
-    The file is written a step at a time from the trajectory's factors: each
-    strategy's reduced capital N/D is kept as two decimal integers and takes
-    each factor a/b by Fraction's product rule (g1 = gcd(N, b), g2 = gcd(a, D),
-    then (N/g1)(a/g2) over (D/g2)(b/g1)), so no big int is ever converted to
-    decimal and Python's int-to-str digit limit does not apply.  Each distinct
-    factor's a and b are read once, and the gcds are skipped for a strategy
-    whose numerators share no prime with its denominators: they are then 1."""
+    The file is written a step at a time: each strategy's reduced capital N/D is
+    kept as two decimal integers and takes each factor a/b by Fraction's product
+    rule (g1 = gcd(N, b), g2 = gcd(a, D), then (N/g1)(a/g2) over (D/g2)(b/g1)),
+    so no big int is ever converted to decimal and Python's int-to-str digit
+    limit does not apply.  Each a and b is read once per (phase, symbol) of the
+    trajectory's factor tables, and the gcds are skipped for a strategy whose
+    table's numerators share no prime with its denominators: they are then 1."""
     prefix = trajectory.prefix
     if not trajectory.factors:
         raise ModelInvariantError("trajectory has no strategies")
     capitals = [(decimal.Decimal(1),) * 2] * len(trajectory.factors)  # N, D ...
     text = [f"{i},1,1" for i in range(len(capitals))]  # ... and "i,N,D" of each
-    steps, reduce = [], []  # each strategy's factors as (a, b); whether gcds can exceed 1
-    for taken in trajectory.factors:
-        pairs = {id(f): (f.numerator, f.denominator) for f in taken}
-        steps.append(map(pairs.__getitem__, map(id, taken)))
-        tops = math.prod(a for a, _ in pairs.values() if a)
-        reduce.append(math.gcd(tops, math.prod(b for _, b in pairs.values())) > 1)
+    pairs = [[[(f.numerator, f.denominator) for f in row] for row in rows]
+             for rows in trajectory.factors]  # each strategy's (a, b) per (phase, symbol)
+    reduce = [math.gcd(math.prod({a for row in t for a, _ in row if a}),  # can a gcd be > 1
+                       math.prod({b for row in t for _, b in row})) > 1 for t in pairs]
     with open(path, "w", encoding="utf-8", newline="") as fh, \
             decimal.localcontext(_EXACT):
         writer = csv.writer(fh)
@@ -380,9 +379,9 @@ def write_trajectory_csv(trajectory: Trajectory, path) -> None:
         quoted = io.StringIO()
         csv.writer(quoted).writerows([t] for t in prefix.space.symbols)
         fields = quoted.getvalue().split(end)
-        columns = zip(*steps)
         for n in range(len(prefix) + 1):
-            for i, (a, b) in enumerate(next(columns) if n else ()):
+            for i, rows in enumerate(pairs if n else ()):  # Trajectory.factors' rule
+                a, b = rows[(n - 1) % len(rows)][prefix.symbols[n - 1]]
                 if a == b:
                     continue  # a factor 1: the capital and its text stand
                 N, D = capitals[i]

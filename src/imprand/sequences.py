@@ -171,13 +171,13 @@ def _generate_adversarial(
         new = L is None or n < L  # the first depth of its (phase, symbol) columns
         if new:
             s = Situation._trusted(space, tuple(path))
-            factors = [member.factor(s) for member in battery]
+            rows = [(member.factor(s).values,) for member in battery]  # one phase each
         # candidate x is sum(A_i * num_i(x)) / (denominator * q_x); each new
         # column is checked at every symbol, so each member's factor is checked
         # for positivity (a numerator over q_x > 0 has the factor's sign)
         best_x = best_total = best_q = best_nums = None
         for x in space:
-            q, nums = column(n, x, lambda: [g[x] for g in factors])
+            q, nums = column(n, x, rows)
             if new and min(nums) <= 0:
                 raise ModelInvariantError(
                     f"battery member not positive at {s.tokens()!r}"

@@ -67,6 +67,12 @@ def capitals(member, prefix):
     return tuple(M.value(prefix.situation(n)) for n in range(len(prefix) + 1))
 
 
+def per_step(t):
+    """The factor each member took at each step, by the rule of Trajectory.factors."""
+    return tuple(tuple(rows[n % len(rows)][x] for n, x in enumerate(t.prefix.symbols))
+                 for rows in t.factors)
+
+
 class TestRunBattery:
     def test_empty_prefix(self, space3, anchor_sys, anchor_strategy):
         prefix = SequencePrefix(space3, ())
@@ -167,7 +173,8 @@ class TestRunBattery:
         long.asked = []
         t = run_battery(SequencePrefix(space3, (2, 1)), anchor_sys, [long])
         assert [s.symbols for s in long.asked] == [(), (2,)]
-        assert t.factors == ((1, 1),)
+        assert t.factors == (((1, 1, 1),) * 2,)  # one row per phase reached
+        assert per_step(t) == ((1, 1),)
 
     def test_memory_is_linear_in_steps(self, space3, anchor_sys):
         # a unit-factor member keeps every capital at 1, so the peak is the
@@ -235,8 +242,9 @@ class TestRunBattery:
         assert held < 8 * 2 ** 20
 
     def test_trajectory_holds_factors_not_capitals(self, space3, anchor_sys, f_example):
-        # the walk keeps the factors taken (objects shared with the memos);
-        # holding every capital of this 1000-step trajectory takes about 5.75 MiB
+        # the walk keeps each member's factor values once per phase (objects
+        # shared with the memos); holding every capital of this 1000-step
+        # trajectory takes about 5.75 MiB
         battery = [lln_strategy(p, anchor_sys)
                    for p in default_battery(space3, (f_example,))[:24]]
         p = ProbabilityMassFunction(space3, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
@@ -248,7 +256,8 @@ class TestRunBattery:
         finally:
             tracemalloc.stop()
         assert held < 2 * 2 ** 20
-        assert t.factors == tuple(
+        assert [len(rows) for rows in t.factors] == [member.period for member in battery]
+        assert per_step(t) == tuple(
             tuple(member.factor(prefix.situation(n))[x] for n, x in enumerate(prefix.symbols))
             for member in battery)
 
@@ -273,9 +282,9 @@ class TestRunBattery:
                                                         f_example):
         # the walk keeps only the best exact mixture so far; keeping every
         # step's exact mixture until the argmax peaked at about 4.15 MiB at
-        # n=2000.  It builds each member's factor tuple once: copying per-step
-        # factor lists into the trajectory peaked at 1.73 MiB at n=4000, where
-        # the trajectory holds 0.86 MiB
+        # n=2000.  It keeps each member's factors once per phase: at n=4000
+        # the trajectory holds about 0.13 MiB and the walk peaks at about
+        # 0.30 MiB, where one factor per step held 0.86 MiB and peaked at 1.03
         battery = [lln_strategy(p, anchor_sys)
                    for p in default_battery(space3, (f_example,))[:24]]
         p = ProbabilityMassFunction(space3, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
@@ -291,7 +300,8 @@ class TestRunBattery:
                 tracemalloc.stop()
             assert len(t.mixture_log2) == n + 1
         assert peak[2000] < 1.5 * 2 ** 20
-        assert peak[4000] < 2 * held[4000], (held, peak)
+        assert peak[4000] < 0.6 * 2 ** 20, (held, peak)
+        assert held[4000] < 0.3 * 2 ** 20, (held, peak)
 
     @pytest.mark.parametrize("factors,best_at", [
         # 1 + 2^-70 and a tie at steps 1 and 2 read 0.0 in floats, as does step 3
@@ -358,7 +368,7 @@ def test_run_battery_matches_fraction_mixture(members, symbols):
     for threads in (1, 2):
         battery = [MultiplierProcess(space, fn, period) for period, fn in members]
         t = run_battery(prefix, sys, battery, threads=threads)
-        assert t.factors == factors
+        assert per_step(t) == factors
         assert t.mixture_log2 == tuple(log2_rational(m) if m else -math.inf
                                        for m in mixture)
         assert t.mixture_max == mixture[best_at]
@@ -651,6 +661,22 @@ class TestEstimateInterval:
         evaluated = sum(p.raw_bits != math.inf for p in est.lower_grid + est.upper_grid)
         assert evaluated > 0
         assert len(calls) <= L * evaluated
+
+    def test_crossed_sides_return_a_point_both_accept(self, space3, f_example):
+        # iid data with mean of f 3/4: the lower side accepts gamma up to 3/4
+        # and the upper side down to 11/16, so the one-sided sweeps cross
+        p = ProbabilityMassFunction(space3, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
+        seq = generate(GeneratorSpec.iid(p, 20000, seed=1))
+        est = estimate_interval(seq, f_example, grid_step=Fraction(1, 16),
+                                selection_moduli=(1, 2))
+        lower = max(q.gamma for q in est.lower_grid if q.accepted)
+        upper = min(q.gamma for q in est.upper_grid if q.accepted)
+        assert (lower, upper) == (Fraction(3, 4), Fraction(11, 16))
+        assert (est.lo_accept, est.hi_accept) == (Fraction(11, 16), Fraction(11, 16))
+        # each returned end is a grid point that both sweeps accept
+        for end in (est.lo_accept, est.hi_accept):
+            for grid in (est.lower_grid, est.upper_grid):
+                assert [q.accepted for q in grid if q.gamma == end] == [True]
 
     def test_grid_validation(self, space3):
         prefix = SequencePrefix(space3, (0,) * 10)

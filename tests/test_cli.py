@@ -244,6 +244,18 @@ class TestAnalyze:
                      "--battery", battery, "--sequence", iid_sequence_file])
         assert code == 1
 
+    def test_bad_direction_exits_one(self, tmp_path, anchor_system_file,
+                                     iid_sequence_file, capsys):
+        # a file breaking a battery rule is a parse error naming the entry; an
+        # epsilon outside (0, B) still breaks the strategy's invariant (exit 2)
+        for field, value, want in (("direction", "sideways", 1), ("epsilon", "2", 2)):
+            entry = dict(LLN_BATTERY[0], **{field: value})
+            battery = write_json(tmp_path, "battery.json", [entry])
+            code = main(["analyze", "--system", anchor_system_file,
+                         "--battery", battery, "--sequence", iid_sequence_file])
+            assert code == want
+            assert capsys.readouterr().err.startswith(f"error: {battery}[0]: {field}")
+
     def test_multiplier_situation_string_exits_one(self, tmp_path, anchor_system_file,
                                                    iid_sequence_file, capsys):
         entry = dict(HALVING_BATTERY[0],

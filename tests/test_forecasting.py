@@ -43,6 +43,11 @@ class TestSituation:
         s = Situation(space3, (np.int64(2),)).child(np.int64(1))
         assert s.symbols == (2, 1)
         assert all(type(i) is int for i in s.symbols)
+        # a depth outside [0, s.depth] names no situation of s
+        assert s.situation(0).symbols == () and s.situation(2) == s
+        for depth in (-1, 3):
+            with pytest.raises(ModelInvariantError):
+                s.situation(depth)
 
     def test_child_validates_appended_index(self, space3):
         s = Situation(space3, (1,))

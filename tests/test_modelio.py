@@ -311,6 +311,21 @@ class TestBatteryJson:
         with pytest.raises(ParseError, match="residue selection"):
             battery_from_list([entry], space3)
 
+    @pytest.mark.parametrize("field, value, error", [
+        ("direction", "sideways", ParseError),
+        ("direction", 5, ParseError),
+        ("direction", None, ParseError),
+        # an epsilon outside (0, B) breaks the strategy's invariant, not the file
+        ("epsilon", "1", ModelInvariantError),
+        ("epsilon", "0", ModelInvariantError),
+    ], ids=["sideways", "number", "null", "epsilon-at-B", "epsilon-zero"])
+    def test_bad_lln_fields_name_the_entry(self, space3, field, value, error):
+        lln = {"type": "lln", "gamble": ["1", "0", "0"], "direction": "lower",
+               "epsilon": "1/8", "selection": {"kind": "all"}}
+        with pytest.raises(error, match=r"^b\.json\[1\]: " + field) as caught:
+            battery_from_list([lln, dict(lln, **{field: value})], space3, context="b.json")
+        assert type(caught.value) is error
+
 
     @pytest.mark.parametrize("selection, field", [
         ({"kind": "residue", "m": 2.7, "i": 1.9}, "'m'"),
@@ -358,10 +373,10 @@ class TestTrajectoryCsv:
         expected = io.StringIO(newline="")
         writer = csv.writer(expected)
         capitals = []
-        for taken in t.factors:
+        for rows in t.factors:  # member i took rows[n % len(rows)][x] at step n + 1
             path_i = [Fraction(1)]
-            for factor in taken:
-                path_i.append(path_i[-1] * factor)
+            for n, x in enumerate(prefix.symbols):
+                path_i.append(path_i[-1] * rows[n % len(rows)][x])
             capitals.append(path_i)
         weights = mixture_weights(len(capitals))
         writer.writerow(["n", "symbol", "strategy_id", "capital_num", "capital_den",
@@ -384,8 +399,10 @@ class TestTrajectoryCsv:
         cancelling = tuple(map(Fraction, ("2/3", "3/2", "9/4", "2/3", "1", "2/3") * 3))
         coprime = tuple(map(Fraction, ("15/16", "19/16", "1", "0", "19/16", "15/16") * 3))
         steps = len(cancelling)
+        rows = tuple(tuple((f, f) for f in taken) for taken in (cancelling, coprime))
+        # one row per step, the step's factor at both symbols
         t = Trajectory(prefix=SequencePrefix(SampleSpace(("A", "B")), (1, 0) * (steps // 2)),
-                       factors=(cancelling, coprime), mixture_log2=(0.0,) * (steps + 1),
+                       factors=rows, mixture_log2=(0.0,) * (steps + 1),
                        mixture_max=Fraction(1), deficiency_bits=0.0, argmax_step=0)
         path = tmp_path / "out.csv"
         write_trajectory_csv(t, path)
@@ -395,7 +412,7 @@ class TestTrajectoryCsv:
         expected, capitals = [], [Fraction(1)] * 2
         for n in range(steps + 1):
             if n:
-                capitals = [c * taken[n - 1] for c, taken in zip(capitals, t.factors)]
+                capitals = [c * taken[n - 1] for c, taken in zip(capitals, (cancelling, coprime))]
             symbol = "AB"[t.prefix.symbols[n - 1]] if n else ""
             expected.extend((n, symbol, i, c.numerator, c.denominator)
                             for i, c in enumerate(capitals))
@@ -413,7 +430,7 @@ class TestTrajectoryCsv:
         # a library call, outside the CLI, under the default 4300-digit limit
         big = Fraction(3 ** 10000, 2 ** 10000)  # 4772 and 3011 digits
         prefix = SequencePrefix(space3, (1,))
-        t = Trajectory(prefix=prefix, factors=((big,),),
+        t = Trajectory(prefix=prefix, factors=(((big,) * 3,),),
                        mixture_log2=(0.0, log2_rational(big)), mixture_max=big,
                        deficiency_bits=log2_rational(big),
                        argmax_step=1)
@@ -446,7 +463,7 @@ def test_csv_capitals_are_the_fraction_products(tmp_path_factory, data, steps, m
     factors[0][data.draw(st.integers(0, steps - 2))] = Fraction(0)  # more factors follow
     space = SampleSpace(("A", "B"))
     t = Trajectory(prefix=SequencePrefix(space, (0,) * steps),
-                   factors=tuple(map(tuple, factors)),
+                   factors=tuple(tuple((f, f) for f in taken) for taken in factors),
                    mixture_log2=(0.0,) * (steps + 1), mixture_max=Fraction(1), deficiency_bits=0.0, argmax_step=0)
     path = tmp_path_factory.mktemp("csv") / "out.csv"
     write_trajectory_csv(t, path)

@@ -32,6 +32,10 @@ class TestPrefix:
         p = SequencePrefix(space3, np.array([2, 0], dtype=np.int64))
         assert p.symbols == (2, 0)
         assert all(type(i) is int for i in p.symbols)
+        # a depth outside [0, len(prefix)] names no situation of the prefix
+        for depth in (-1, 7):
+            with pytest.raises(ModelInvariantError, match=f"depth {depth} outside"):
+                SequencePrefix(space3, (0, 1, 2)).situation(depth)
 
     def test_tokens_and_situation(self, space3):
         p = SequencePrefix.from_tokens(space3, ("B", "C", "A"))
