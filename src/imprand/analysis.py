@@ -10,10 +10,10 @@ of k bits or more has probability at most 2^-k.
 Two evaluation paths are provided.  ``run_battery`` is exact rational
 arithmetic over explicit multiplier processes.  ``run_battery_fast`` handles
 systems and selections with a ``period``: every betting factor then depends
-only on depth modulo a small period L, so the log2 factors are precomputed in
-an exact (phase, symbol) table, and the log2 capital paths are that table
-times the prefix's cumulative counts of (phase, symbol) pairs, in floats and
-in blocks of steps.
+only on depth modulo a small period L, so both paths keep each member's exact
+factors once per phase in one table, ``Trajectory.factors``, read by one rule,
+and the float log2 capitals are its log2s times the prefix's cumulative
+(phase, symbol) counts, in blocks of steps.
 """
 
 from __future__ import annotations
@@ -207,29 +207,23 @@ def default_battery(
 ) -> Tuple[LLNStrategyParams, ...]:
     """The standard battery: every symbol indicator plus any user gambles,
     expanded by :func:`battery_for_gambles`."""
-    gambles = [Gamble.indicator(space, t) for t in space.symbols]
-    for g in user_gambles:
-        _check_same_space(gambles[0], g)
-        gambles.append(g)
-    return battery_for_gambles(gambles, selection_moduli)
+    indicators = [Gamble.indicator(space, t) for t in space.symbols]
+    return battery_for_gambles([*indicators, *user_gambles], selection_moduli)
 
 
 def _phase_tables(
     sys: ForecastingSystem, strategies: Sequence[LLNStrategyParams]
-) -> Tuple[int, np.ndarray]:
-    """Per-strategy log2 betting factors indexed by (depth mod L, symbol).
-
-    The factors are computed exactly and converted to float once: each exact
-    forecast once per (system phase, gamble, direction), shared by every stake
-    and selection, and each strategy's factors once per phase of its own period.
-    """
+) -> Tuple[Tuple[Tuple[Fraction, ...], ...], ...]:
+    """Each strategy's exact factors once per phase of its own period, in
+    ``Trajectory.factors``' format; each exact forecast is taken once per
+    (system phase, gamble, direction), shared by every stake and selection."""
     L = joint_period(sys.period, *(p.selection.period for p in strategies))
     if L is None:
         raise ModelInvariantError(
             "fast battery evaluation needs a system and selections with a period"
         )
     # any path reaches each phase: the factors depend on the depth alone
-    phases = [Situation(sys.space, (0,) * t) for t in range(L)]
+    phases = [Situation._trusted(sys.space, (0,) * t) for t in range(L)]
     increments: dict = {}  # (system phase, gamble, direction) -> exact increment
 
     def increment(t: int, p: LLNStrategyParams) -> Gamble:
@@ -238,14 +232,10 @@ def _phase_tables(
             increments[key] = p.increment(sys.forecast(phases[key[0]]))
         return increments[key]
 
-    tables = np.empty((len(strategies), L, sys.space.size), dtype=np.float64)
-    for i, p in enumerate(strategies):
-        P = joint_period(sys.period, p.selection.period)  # divides L
-        for t, s in enumerate(phases[:P]):
-            factor = p.betting_factor(s, lambda: increment(t, p))
-            tables[i, t, :] = [log2_rational(v) for v in factor.values]
-        tables[i] = tables[i, np.arange(L) % P]
-    return L, tables
+    return tuple(
+        tuple(p.betting_factor(s, lambda: increment(t, p)).values for t, s in
+              enumerate(phases[: joint_period(sys.period, p.selection.period)]))
+        for p in strategies)
 
 
 # floats in the float kernel's block buffer: small enough to stay in cache
@@ -268,20 +258,22 @@ def run_battery_fast(
     """Vectorized battery evaluation for depth-periodic strategies.
 
     Restricted to systems and selections with a ``period`` L.  The log2
-    capitals of all strategies are one product: their exact log2 factor
-    tables over (phase, symbol) times the prefix's cumulative (phase, symbol)
-    counts, so the data enter only through those counts.  The product is
-    taken over blocks of steps, so memory is O(B * block), not O(B * N).
-    Capital paths are floats; use :func:`run_battery` when exactness is
-    required.
+    capitals of all strategies are one product: the log2s of their exact
+    factors (:func:`_phase_tables`) at the L phases by ``Trajectory.factors``'
+    rule, times the prefix's cumulative (phase, symbol) counts, so the data
+    enter only through those counts.  The product is taken over blocks of
+    steps, so memory is O(B * block), not O(B * N).  Capital paths are
+    floats; use :func:`run_battery` when exactness is required.
     """
     strategies = list(strategies)
     if not strategies:
         raise ModelInvariantError("battery must be non-empty")
     for part in (sys, *(p.f for p in strategies)):
         _check_same_space(prefix, part)
-    L, tables = _phase_tables(sys, strategies)
-    tables = tables.reshape(len(strategies), -1)
+    rows = _phase_tables(sys, strategies)
+    L = joint_period(*map(len, rows))
+    logs = [[[log2_rational(v) for v in row] for row in r] for r in rows]
+    tables = np.array([[x for t in range(L) for x in r[t % len(r)]] for r in logs])
     counts = prefix.phase_counts(L)
     log2_weights = np.array([log2_rational(w) for w in mixture_weights(len(strategies))])
     mixture_log2 = np.empty(len(prefix) + 1)
@@ -390,6 +382,9 @@ class IntervalEstimate:
     upper_grid: Tuple[GridPoint, ...]
 
 
+_GRID_BUDGET = 2**16  # gamma points one side of an interval sweep may evaluate
+
+
 def estimate_interval(
     prefix: SequencePrefix,
     f: Gamble,
@@ -421,11 +416,13 @@ def estimate_interval(
     _check_same_space(prefix, f)
 
     lo, hi = f.minimum(), f.maximum()
-    grid: List[Fraction] = []
-    g = lo
-    while g <= hi:
-        grid.append(g)
-        g += grid_step
+    count = (hi - lo) // grid_step + 1  # per side, counted before any is built
+    if count > _GRID_BUDGET:
+        raise ModelInvariantError(
+            f"grid step {grid_step} over [min f, max f] = [{lo}, {hi}] gives {count} "
+            f"points per side, over the budget of {_GRID_BUDGET}"
+        )
+    grid = [lo + k * grid_step for k in range(count)]
 
     def sweep(points: Sequence[Fraction], side: str) -> List[GridPoint]:
         # the opposite direction is unfalsifiable under a pinned model (its

@@ -71,9 +71,12 @@ def _rational(text, context: str) -> Fraction:
         raise ParseError(f"{context}: {exc}") from None
 
 
-def _rational_vector(values, context: str) -> Tuple[Fraction, ...]:
+def _rational_vector(values, size: int, context: str) -> Tuple[Fraction, ...]:
+    """One rational per symbol of a size-symbol space; context names the entry."""
     if not isinstance(values, list):
         raise ParseError(f"{context}: expected a list of rational strings")
+    if len(values) != size:
+        raise ParseError(f"{context} has {len(values)} entries for a {size}-symbol space")
     return tuple(_rational(v, context) for v in values)
 
 
@@ -110,11 +113,12 @@ def model_from_dict(obj: dict, context: str = "model") -> LowerExpectation:
         if kind == "linear" and len(rows) != 1:
             raise ParseError(f"{context}: linear model takes exactly one vertex")
         pmfs = tuple(
-            ProbabilityMassFunction(space, _rational_vector(row, context))
-            for row in rows
+            ProbabilityMassFunction(
+                space, _rational_vector(row, space.size, f"{context}: vertices[{k}]"))
+            for k, row in enumerate(rows)
         )
         return LinearModel(pmfs[0]) if kind == "linear" else EnvelopeModel(pmfs)
-    anchor = Gamble(space, _rational_vector(obj["anchor"], context))
+    anchor = Gamble(space, _rational_vector(obj["anchor"], space.size, f"{context}: anchor"))
     if kind == "gamma_f":
         return AnchorGammaModel(anchor=anchor, gamma=_rational(obj["gamma"], context))
     interval = obj["interval"]
@@ -262,7 +266,7 @@ def save_system(sys: ForecastingSystem, path) -> None:
 def gamble_from_dict(obj: dict, context: str = "gamble") -> Gamble:
     _require_fields(obj, {"alphabet", "values"}, set(), context)
     space = _space_from(obj, context)
-    return Gamble(space, _rational_vector(obj["values"], context))
+    return Gamble(space, _rational_vector(obj["values"], space.size, f"{context}: values"))
 
 
 def gamble_to_dict(g: Gamble) -> dict:
@@ -304,6 +308,10 @@ def battery_from_list(
     if not isinstance(entries, list) or not entries:
         raise ParseError(f"{context}: expected a non-empty list of strategies")
     out: List[BatteryEntry] = []
+
+    def gamble(values, at: str) -> Gamble:
+        return Gamble(space, _rational_vector(values, space.size, at))
+
     for idx, entry in enumerate(entries):
         where = f"{context}[{idx}]"
         if not isinstance(entry, dict) or "type" not in entry:
@@ -316,16 +324,16 @@ def battery_from_list(
                 raise ParseError(f"{where}: direction must be lower|upper, got {direction!r}")
             try:  # an epsilon outside (0, B) breaks the strategy's invariant
                 out.append(LLNStrategyParams(
-                    Gamble(space, _rational_vector(entry["gamble"], where)), direction,
+                    gamble(entry["gamble"], f"{where}: gamble"), direction,
                     _rational(entry["epsilon"], where),
                     _selection_from_dict(entry["selection"], where)))
             except ModelInvariantError as exc:
                 raise ModelInvariantError(f"{where}: {exc}") from None
         elif entry["type"] == "multiplier":
             _require_fields(entry, {"type", "rows", "default"}, set(), where)
-            default = Gamble(space, _rational_vector(entry["default"], where))
+            default = gamble(entry["default"], f"{where}: default")
             rows = _situation_rows(entry["rows"], "factor", space, where,
-                                   lambda v, at: Gamble(space, _rational_vector(v, at)))
+                                   lambda v, at: gamble(v, f"{at}: factor"))
             out.append(
                 MultiplierProcess(space, lambda s, r=rows, d=default: r.get(s.symbols, d))
                 if rows else MultiplierProcess.constant(space, default)

@@ -175,18 +175,19 @@ def _generate_adversarial(
         # candidate x is sum(A_i * num_i(x)) / (denominator * q_x); each new
         # column is checked at every symbol, so each member's factor is checked
         # for positivity (a numerator over q_x > 0 has the factor's sign)
-        best_x = best_total = best_q = best_nums = None
+        best = None  # (total, q, products, x) of the least candidate so far
         for x in space:
             q, nums = column(n, x, rows)
             if new and min(nums) <= 0:
                 raise ModelInvariantError(
                     f"battery member not positive at {s.tokens()!r}"
                 )
-            total = sum(a * m for a, m in zip(weighted, nums))
-            if best_total is None or total * best_q < best_total * q:
-                best_x, best_total, best_q, best_nums = x, total, q, nums
-        weighted = [a * m for a, m in zip(weighted, best_nums)]
-        path.append(best_x)
+            products = [a * m for a, m in zip(weighted, nums)]
+            total = sum(products)
+            if best is None or total * best[1] < best[0] * q:
+                best = (total, q, products, x)
+        _, _, weighted, x = best  # the winner's products are the new A_i
+        path.append(x)
 
     return SequencePrefix(space, path)
 

@@ -38,7 +38,8 @@ from imprand import (
     run_battery,
     run_battery_fast,
 )
-from imprand.analysis import AverageReport
+from imprand import analysis
+from imprand.analysis import AverageReport, _phase_tables
 from imprand.core import ModelInvariantError, log2_rational
 from imprand.forecasting import iter_situations
 from imprand.lowerexp import AnchorGammaModel
@@ -460,6 +461,25 @@ class TestFastPath:
             for n in {0, 1, 57, length} & set(range(length + 1)):
                 assert abs(fast.mixture_log2[n] - exact.mixture_log2[n]) < 1e-7
 
+    def test_both_engines_read_one_table(self, space3, envelope3, anchor_sys, f_example,
+                                         monkeypatch):
+        # period 2 (envelope, then pinned) and moduli (1, 2, 3): joint period 6, so
+        # 500 steps reach every phase of every member
+        sys = CyclicSystem((envelope3, anchor_sys.model))
+        params = battery_for_gambles((Gamble.indicator(space3, "A"), f_example),
+                                     selection_moduli=(1, 2, 3))
+        prefix = generate(GeneratorSpec.cyclic(envelope3.vertices, 500, seed=3))
+        rows = _phase_tables(sys, params)
+        walk = run_battery(prefix, sys, [lln_strategy(p, sys) for p in params])
+        assert rows == walk.factors
+        assert sorted({len(r) for r in rows}) == [2, 6]
+        assert all(type(v) is Fraction for r in rows for row in r for v in row)
+        # the float kernel run on the walk's own rows gives the same path, bit for bit
+        fast = run_battery_fast(prefix, sys, params)
+        monkeypatch.setattr(analysis, "_phase_tables", lambda *_: walk.factors)
+        again = run_battery_fast(prefix, sys, params)
+        assert again.mixture_log2.tobytes() == fast.mixture_log2.tobytes()
+
     @pytest.mark.parametrize("system, selection", [
         (StationarySystem, SelectionProcess.from_table({}, default=1)),
         (lambda m: TableSystem(table={}, default=m), SelectionProcess.all_ones()),
@@ -686,6 +706,23 @@ class TestEstimateInterval:
         for bad in (0.0, math.nan):
             with pytest.raises(ModelInvariantError):
                 estimate_interval(prefix, f, threshold_bits=bad)
+
+    def test_grid_over_the_budget_is_refused_before_it_is_built(self, space3, f_example,
+                                                                 monkeypatch):
+        # f spans [-2, 3]: 2^16 points per side is the most a sweep may take
+        prefix = SequencePrefix(space3, (0, 1, 2) * 2)
+        with pytest.raises(ModelInvariantError,
+                           match=r"\[-2, 3\] gives 5000001 points per side, over the "
+                                 r"budget of 65536"):
+            estimate_interval(prefix, f_example, grid_step=Fraction(1, 1000000))
+        with pytest.raises(ModelInvariantError, match="65537 points per side"):
+            estimate_interval(prefix, f_example, grid_step=Fraction(5, 2**16))
+        # at the budget the grid is built; each side's first point rejects the rest
+        monkeypatch.setattr(analysis, "run_battery_fast",
+                            lambda *_: analysis.FastBatteryResult(math.inf, None))
+        est = estimate_interval(prefix, f_example, grid_step=Fraction(5, 2**16 - 1))
+        assert len(est.lower_grid) == len(est.upper_grid) == 2**16
+        assert (est.lower_grid[-1].gamma, est.upper_grid[-1].gamma) == (3, -2)
 
     def test_repair_makes_acceptance_an_interval(self, space3, vertices3, f_example):
         seq = generate(GeneratorSpec.cyclic((vertices3[0], vertices3[2]),

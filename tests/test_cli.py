@@ -248,13 +248,24 @@ class TestAnalyze:
                                      iid_sequence_file, capsys):
         # a file breaking a battery rule is a parse error naming the entry; an
         # epsilon outside (0, B) still breaks the strategy's invariant (exit 2)
-        for field, value, want in (("direction", "sideways", 1), ("epsilon", "2", 2)):
+        for field, value, want in (("direction", "sideways", 1), ("gamble", ["1", "0"], 1),
+                                   ("epsilon", "2", 2)):
             entry = dict(LLN_BATTERY[0], **{field: value})
             battery = write_json(tmp_path, "battery.json", [entry])
             code = main(["analyze", "--system", anchor_system_file,
                          "--battery", battery, "--sequence", iid_sequence_file])
             assert code == want
             assert capsys.readouterr().err.startswith(f"error: {battery}[0]: {field}")
+
+    def test_multiplier_default_of_the_wrong_length_exits_one(
+            self, tmp_path, anchor_system_file, iid_sequence_file, capsys):
+        entry = dict(HALVING_BATTERY[0], default=["1/2", "3/2"])
+        battery = write_json(tmp_path, "battery.json", [entry])
+        code = main(["analyze", "--system", anchor_system_file,
+                     "--battery", battery, "--sequence", iid_sequence_file])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {battery}[0]: default has 2 entries for a 3-symbol space\n")
 
     def test_multiplier_situation_string_exits_one(self, tmp_path, anchor_system_file,
                                                    iid_sequence_file, capsys):
@@ -415,6 +426,19 @@ class TestEstimateInterval:
         code = main(["estimate-interval", "--gamble", gamble, "--sequence",
                      str(seq), "--grid-step", "0.25"])
         assert code == 1
+
+    def test_grid_over_the_budget_exits_two(self, tmp_path, capsys):
+        # 3000001 points per side: refused before the grid is built
+        gamble = write_json(tmp_path, "g.json",
+                            gamble_to_dict(Gamble(SPACE, ("1", "-2", "1"))))
+        seq = tmp_path / "seq.txt"
+        write_sequence(SequencePrefix(SPACE, (0, 1, 2, 0, 1, 2)), seq)
+        out = tmp_path / "est.json"
+        code = main(["estimate-interval", "--gamble", gamble, "--sequence", str(seq),
+                     "--grid-step", "1/1000000", "--out", str(out)])
+        assert code == 2
+        assert "[-2, 1] gives 3000001 points per side" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_selection_modulus_exits_two(self, tmp_path, iid_sequence_file,
                                              capsys):

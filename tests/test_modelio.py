@@ -122,6 +122,19 @@ class TestModelJson:
         with pytest.raises(ParseError, match="two-element"):
             model_from_dict(obj)
 
+    @pytest.mark.parametrize("obj, where", [
+        ({"kind": "gamma_f", "gamma": "1/2", "anchor": ["1", "0"]}, "anchor"),
+        ({"kind": "interval_f", "interval": ["0", "1"], "anchor": ["1"] * 4}, "anchor"),
+        ({"kind": "linear", "vertices": [["1/2", "1/2"]]}, r"vertices\[0\]"),
+        ({"kind": "envelope", "vertices": [["1", "0", "0"], ["1/2", "1/2"]]},
+         r"vertices\[1\]"),
+    ], ids=["gamma-anchor", "interval-anchor", "linear-vertex", "envelope-vertex"])
+    def test_vectors_of_the_wrong_length_name_the_entry(self, obj, where):
+        # a file error (exit 1), not a model invariant: the file and entry are named
+        with pytest.raises(ParseError, match=r"^m\.json: " + where + r" has \d entries for "
+                                             "a 3-symbol space$"):
+            model_from_dict(dict(obj, alphabet=ALPHABET), "m.json")
+
     def test_kind_must_be_a_string(self):
         with pytest.raises(ParseError, match=r"m\.json: unknown kind"):
             model_from_dict({"alphabet": ALPHABET, "kind": ["vacuous"]}, "m.json")
@@ -240,6 +253,11 @@ class TestGambleJson:
             g = rand_gamble(rng, rand_space(rng))
             assert gamble_from_dict(gamble_to_dict(g)) == g
 
+    @pytest.mark.parametrize("values", [["1", "2"], ["1", "2", "3", "4"], []])
+    def test_values_of_the_wrong_length_name_the_file(self, values):
+        with pytest.raises(ParseError, match=rf"^g\.json: values has {len(values)} entries"):
+            gamble_from_dict({"alphabet": ALPHABET, "values": values}, "g.json")
+
     def test_unknown_field(self, space3):
         with pytest.raises(ParseError, match="unknown fields"):
             gamble_from_dict({"alphabet": ALPHABET, "values": ["1", "2", "3"],
@@ -297,6 +315,19 @@ class TestBatteryJson:
         with pytest.raises(ParseError, match=r"^b\.json\[1\]" + message):
             battery_from_list([lln, entry], space3, context="b.json")
 
+    @pytest.mark.parametrize("entry, where", [
+        ({"default": ["1", "1"], "rows": []}, r"\[1\]: default has 2 entries"),
+        ({"default": ["1", "1", "1"], "rows": [{"situation": ["A"], "factor": ["1"] * 4}]},
+         r"\[1\]\[0\]: factor has 4 entries"),
+    ], ids=["default", "row-factor"])
+    def test_multiplier_vectors_of_the_wrong_length_name_the_entry(self, space3, entry,
+                                                                    where):
+        lln = {"type": "lln", "gamble": ["1", "0", "0"], "direction": "lower",
+               "epsilon": "1/8", "selection": {"kind": "all"}}
+        with pytest.raises(ParseError, match=r"^b\.json" + where + " for a 3-symbol space$"):
+            battery_from_list([lln, dict(entry, type="multiplier")], space3,
+                              context="b.json")
+
     def test_empty_battery_rejected(self, space3):
         with pytest.raises(ParseError):
             battery_from_list([], space3)
@@ -315,10 +346,13 @@ class TestBatteryJson:
         ("direction", "sideways", ParseError),
         ("direction", 5, ParseError),
         ("direction", None, ParseError),
+        ("gamble", ["1", "0"], ParseError),
+        ("gamble", ["1", "0", "0", "0"], ParseError),
         # an epsilon outside (0, B) breaks the strategy's invariant, not the file
         ("epsilon", "1", ModelInvariantError),
         ("epsilon", "0", ModelInvariantError),
-    ], ids=["sideways", "number", "null", "epsilon-at-B", "epsilon-zero"])
+    ], ids=["sideways", "number", "null", "gamble-short", "gamble-long", "epsilon-at-B",
+            "epsilon-zero"])
     def test_bad_lln_fields_name_the_entry(self, space3, field, value, error):
         lln = {"type": "lln", "gamble": ["1", "0", "0"], "direction": "lower",
                "epsilon": "1/8", "selection": {"kind": "all"}}
