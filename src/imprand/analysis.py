@@ -299,8 +299,6 @@ class AverageReport:
     average: Optional[Fraction]
     average_above_lower: Optional[Fraction]
     average_below_upper: Optional[Fraction]
-    lower_margin: Optional[Fraction]
-    upper_margin: Optional[Fraction]
 
 
 def check_running_average(
@@ -314,8 +312,8 @@ def check_running_average(
 
     ``average_above_lower`` is the mean of f(x) minus the lower forecast at
     the step; ``average_below_upper`` the mean of the upper forecast minus
-    f(x).  For systems of period 1 the margins to [E(f), upper(f)] are also
-    reported.  Zero selected steps yields an explicit empty result.
+    f(x); for a system of period 1 they are the distances from the average to
+    [E(f), upper(f)].  Zero selected steps yields an explicit empty result.
 
     The sums run over (key, symbol) counts, the key being the depth modulo
     the joint period of system and selection (the depth when there is none);
@@ -341,21 +339,12 @@ def check_running_average(
         total_below += c * (model.upper(f) - value)
 
     if count == 0:
-        return AverageReport(0, None, None, None, None, None)
-
-    average = total / count
-    lower_margin = upper_margin = None
-    if sys.period == 1:
-        model = sys.forecast(Situation.root(sys.space))
-        lower_margin = average - model.lower(f)
-        upper_margin = model.upper(f) - average
+        return AverageReport(0, None, None, None)
     return AverageReport(
         selected_count=count,
-        average=average,
+        average=total / count,
         average_above_lower=total_above / count,
         average_below_upper=total_below / count,
-        lower_margin=lower_margin,
-        upper_margin=upper_margin,
     )
 
 

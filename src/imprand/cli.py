@@ -292,8 +292,6 @@ def _cmd_average(args) -> int:
         "average": fmt(result.average),
         "average_above_lower": fmt(result.average_above_lower),
         "average_below_upper": fmt(result.average_below_upper),
-        "lower_margin": fmt(result.lower_margin),
-        "upper_margin": fmt(result.upper_margin),
     }
     _emit(report, args.out)
     return EXIT_OK

@@ -13,6 +13,7 @@ import decimal
 import io
 import json
 import math
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
@@ -22,6 +23,7 @@ from imprand.core import (
     ModelInvariantError,
     ProbabilityMassFunction,
     SampleSpace,
+    SpaceMismatchError,
     format_rational,
     parse_rational,
 )
@@ -84,7 +86,20 @@ def _space_from(obj: dict, context: str) -> SampleSpace:
     alphabet = obj.get("alphabet")
     if not isinstance(alphabet, list) or not all(isinstance(t, str) for t in alphabet):
         raise ParseError(f"{context}: 'alphabet' must be a list of strings")
-    return SampleSpace(tuple(alphabet))
+    try:  # a bad alphabet breaks the file's format
+        return SampleSpace(tuple(alphabet))
+    except ModelInvariantError as exc:
+        raise ParseError(f"{context}: {exc}") from None
+
+
+@contextmanager
+def _named(context: str):
+    """A model's own invariant (exit 2), its message prefixed with the file and
+    entry it came from; models on different alphabets break one too."""
+    try:
+        yield
+    except (ModelInvariantError, SpaceMismatchError) as exc:
+        raise ModelInvariantError(f"{context}: {exc}") from None
 
 
 _MODEL_FIELDS = {
@@ -104,30 +119,31 @@ def model_from_dict(obj: dict, context: str = "model") -> LowerExpectation:
         raise ParseError(f"{context}: unknown kind {kind!r}")
     _require_fields(obj, {"alphabet", "kind"} | _MODEL_FIELDS[kind], set(), context)
     space = _space_from(obj, context)
-    if kind == "vacuous":
-        return VacuousModel(space)
-    if kind in ("linear", "envelope"):
-        rows = obj["vertices"]
-        if not isinstance(rows, list) or not rows:
-            raise ParseError(f"{context}: 'vertices' must be a non-empty list")
-        if kind == "linear" and len(rows) != 1:
-            raise ParseError(f"{context}: linear model takes exactly one vertex")
-        pmfs = tuple(
-            ProbabilityMassFunction(
-                space, _rational_vector(row, space.size, f"{context}: vertices[{k}]"))
-            for k, row in enumerate(rows)
+    with _named(context):
+        if kind == "vacuous":
+            return VacuousModel(space)
+        if kind in ("linear", "envelope"):
+            rows = obj["vertices"]
+            if not isinstance(rows, list) or not rows:
+                raise ParseError(f"{context}: 'vertices' must be a non-empty list")
+            if kind == "linear" and len(rows) != 1:
+                raise ParseError(f"{context}: linear model takes exactly one vertex")
+            pmfs = tuple(
+                ProbabilityMassFunction(
+                    space, _rational_vector(row, space.size, f"{context}: vertices[{k}]"))
+                for k, row in enumerate(rows)
+            )
+            return LinearModel(pmfs[0]) if kind == "linear" else EnvelopeModel(pmfs)
+        anchor = Gamble(space, _rational_vector(obj["anchor"], space.size, f"{context}: anchor"))
+        if kind == "gamma_f":
+            return AnchorGammaModel(anchor=anchor, gamma=_rational(obj["gamma"], context))
+        interval = obj["interval"]
+        if not isinstance(interval, list) or len(interval) != 2:
+            raise ParseError(f"{context}: 'interval' must be a two-element list")
+        return AnchorIntervalModel(
+            anchor=anchor,
+            interval=IntervalQ(_rational(interval[0], context), _rational(interval[1], context)),
         )
-        return LinearModel(pmfs[0]) if kind == "linear" else EnvelopeModel(pmfs)
-    anchor = Gamble(space, _rational_vector(obj["anchor"], space.size, f"{context}: anchor"))
-    if kind == "gamma_f":
-        return AnchorGammaModel(anchor=anchor, gamma=_rational(obj["gamma"], context))
-    interval = obj["interval"]
-    if not isinstance(interval, list) or len(interval) != 2:
-        raise ParseError(f"{context}: 'interval' must be a two-element list")
-    return AnchorIntervalModel(
-        anchor=anchor,
-        interval=IntervalQ(_rational(interval[0], context), _rational(interval[1], context)),
-    )
 
 
 def model_to_dict(model: LowerExpectation) -> dict:
@@ -226,12 +242,16 @@ def system_from_dict(obj: dict, context: str = "system") -> ForecastingSystem:
         models = obj["models"]
         if not isinstance(models, list) or not models:
             raise ParseError(f"{context}: cyclic system needs a non-empty model list")
-        return CyclicSystem(tuple(model_from_dict(m, context) for m in models))
+        parsed = tuple(model_from_dict(m, f"{context}: models[{k}]")
+                       for k, m in enumerate(models))
+        with _named(context):
+            return CyclicSystem(parsed)
     if kind == "table":
         _require_fields(obj, {"kind", "table", "default"}, set(), context)
         default = model_from_dict(obj["default"], context)
         table = _situation_rows(obj["table"], "model", default.space, context, model_from_dict)
-        return TableSystem(table=table, default=default)
+        with _named(context):
+            return TableSystem(table=table, default=default)
     raise ParseError(f"{context}: unknown system kind {kind!r}")
 
 
@@ -322,13 +342,11 @@ def battery_from_list(
             )
             if (direction := entry["direction"]) not in ("lower", "upper"):
                 raise ParseError(f"{where}: direction must be lower|upper, got {direction!r}")
-            try:  # an epsilon outside (0, B) breaks the strategy's invariant
+            with _named(where):  # an epsilon outside (0, B) breaks the strategy's invariant
                 out.append(LLNStrategyParams(
                     gamble(entry["gamble"], f"{where}: gamble"), direction,
                     _rational(entry["epsilon"], where),
                     _selection_from_dict(entry["selection"], where)))
-            except ModelInvariantError as exc:
-                raise ModelInvariantError(f"{where}: {exc}") from None
         elif entry["type"] == "multiplier":
             _require_fields(entry, {"type", "rows", "default"}, set(), where)
             default = gamble(entry["default"], f"{where}: default")

@@ -235,7 +235,10 @@ def read_sequence(path, space: Optional[SampleSpace] = None) -> SequencePrefix:
             continue
         if stripped.startswith("#"):
             if stripped.startswith(_HEADER_PREFIX):
-                declared = SampleSpace(tuple(stripped[len(_HEADER_PREFIX) :].split()))
+                try:  # a bad alphabet breaks the file's format
+                    declared = SampleSpace(tuple(stripped[len(_HEADER_PREFIX) :].split()))
+                except ModelInvariantError as exc:
+                    raise ImprandError(f"{path}:{lineno}: {exc}") from None
                 _check_symbols(declared, f"{path}:{lineno}")
                 if header_space is not None and declared != header_space:
                     # the symbols read so far were indexed in the first one

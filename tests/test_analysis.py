@@ -110,6 +110,22 @@ class TestRunBattery:
         assert t.deficiency_bits == 0.0
         assert max(capitals(halving_multiplier, prefix)) <= 1
 
+    def test_programmatic_system_walks_like_its_stationary_model(self, space3, anchor_sys):
+        # a rule that returns one model has no period, so its members take the
+        # path-keyed walk; the periodic walk of the same model must agree
+        p = ProbabilityMassFunction(space3, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
+        prefix = generate(GeneratorSpec.iid(p, 200, seed=1))
+        params = battery_for_gambles([Gamble.indicator(space3, "A")], selection_moduli=(1, 2))
+        programmatic = ProgrammaticSystem(space3, lambda s: anchor_sys.model)
+        keyed, periodic = (run_battery(prefix, sys, [lln_strategy(q, sys) for q in params])
+                           for sys in (programmatic, anchor_sys))
+        assert {len(rows) for rows in keyed.factors} == {200}
+        assert per_step(keyed) == per_step(periodic)
+        assert keyed.mixture_log2 == periodic.mixture_log2
+        assert keyed.mixture_max == periodic.mixture_max
+        assert keyed.argmax_step == periodic.argmax_step
+        assert periodic.deficiency_bits > 1
+
     def test_empty_battery_rejected(self, space3, anchor_sys):
         with pytest.raises(ModelInvariantError):
             run_battery(SequencePrefix(space3, (0,)), anchor_sys, [])
@@ -548,7 +564,7 @@ class TestRunningAverage:
         f = Gamble.indicator(space3, "A")
         report = check_running_average(prefix, f, SelectionProcess.all_ones(), sys)
         assert report.average == 1
-        assert report.lower_margin == Fraction(3, 4)  # 1 - p(A)
+        assert report.average_above_lower == Fraction(3, 4)  # 1 - p(A)
 
     def test_table_system_forecasts_per_situation(self, space3, vertices3):
         # E(1_A) is 1/2 after an A and 0 elsewhere
@@ -560,7 +576,6 @@ class TestRunningAverage:
         assert report.average == Fraction(1, 3)
         # ((1 - 0) + (0 - 1/2) + (0 - 0)) / 3
         assert report.average_above_lower == Fraction(1, 6)
-        assert report.lower_margin is None
 
     def test_empty_selection(self, space3, envelope3):
         prefix = SequencePrefix(space3, (0, 1))
@@ -594,13 +609,8 @@ def naive_average(prefix, f, S, sys):
             above += f[x] - model.lower(f)
             below += model.upper(f) - f[x]
     if count == 0:
-        return AverageReport(0, None, None, None, None, None)
-    average = total / count
-    margins = (None, None)
-    if sys.period == 1:
-        model = sys.forecast(Situation.root(sys.space))
-        margins = (average - model.lower(f), model.upper(f) - average)
-    return AverageReport(count, average, above / count, below / count, *margins)
+        return AverageReport(0, None, None, None)
+    return AverageReport(count, total / count, above / count, below / count)
 
 
 def test_running_average_matches_naive_loop(space3):
@@ -618,6 +628,7 @@ def test_running_average_matches_naive_loop(space3):
                            if rng.random() < 0.5},
                     default=envelope()),
     ]
+    systems.append(CyclicSystem((systems[0].model,)))
     selections = [
         SelectionProcess.all_ones(),
         SelectionProcess.residue_class(2, 1),
@@ -630,8 +641,13 @@ def test_running_average_matches_naive_loop(space3):
             space3, tuple(rng.randrange(3) for _ in range(rng.randint(0, 60))))
         f = rand_gamble(rng, space3)
         for sys, S in itertools.product(systems, selections):
-            assert check_running_average(prefix, f, S, sys) == \
-                naive_average(prefix, f, S, sys)
+            report = check_running_average(prefix, f, S, sys)
+            assert report == naive_average(prefix, f, S, sys)
+            if sys.period == 1 and report.selected_count:
+                # with one model the gaps are the distances to [E(f), upper(f)]
+                model = sys.forecast(Situation.root(space3))
+                assert report.average_above_lower == report.average - model.lower(f)
+                assert report.average_below_upper == model.upper(f) - report.average
 
 
 class TestEstimateInterval:

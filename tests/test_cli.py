@@ -584,6 +584,8 @@ class TestAverage:
         report = json.loads(capsys.readouterr().out)
         assert report["average"] == "-2"
         assert report["selected_count"] == 300
+        assert set(report) == {"selected_count", "average", "average_above_lower",
+                               "average_below_upper"}
 
     def test_residue_selection(self, tmp_path, envelope_system_file,
                                all_b_sequence_file, capsys):
@@ -602,6 +604,56 @@ class TestAverage:
         assert main(["average", "--gamble", gamble, "--system",
                      envelope_system_file, "--sequence", all_b_sequence_file,
                      "--selection", "every-other"]) == 1
+
+
+@pytest.mark.parametrize("bad, code, message", [
+    ("header", 1, ":1: duplicate symbols in ('A', 'A')"),
+    ("model", 2, ": pmf weights sum to 9/10, not 1"),
+])
+def test_input_errors_name_the_file(tmp_path, envelope_system_file, all_b_sequence_file,
+                                    capsys, bad, code, message):
+    # a bad alphabet breaks the file's format (exit 1); a model's own
+    # invariant stays one (exit 2); both name the file they came from
+    gamble = write_json(tmp_path, "g.json", gamble_to_dict(Gamble.indicator(SPACE, "B")))
+    sequence, system = all_b_sequence_file, envelope_system_file
+    if bad == "header":
+        sequence = target = str(tmp_path / "dup.txt")
+        (tmp_path / "dup.txt").write_text("# alphabet: A A\nA\n")
+    else:
+        system = target = write_json(tmp_path, "bad_system.json", {
+            "kind": "stationary",
+            "models": [dict(ENVELOPE_MODEL, vertices=[["1/2", "1/5", "1/5"]])]})
+    assert main(["average", "--gamble", gamble, "--system", system,
+                 "--sequence", sequence]) == code
+    assert capsys.readouterr().err == f"error: {target}{message}\n"
+
+
+@pytest.mark.parametrize("case", ["iid-two-models", "adversarial-no-battery",
+                                  "verify-system-no-battery", "average-bad-residue"])
+def test_usage_errors_exit_one(tmp_path, envelope_system_file, all_b_sequence_file,
+                               capsys, case):
+    vertex = dict(ENVELOPE_MODEL, kind="linear", vertices=[["1/2", "1/4", "1/4"]])
+    models = write_json(tmp_path, "models.json", [vertex, vertex])
+    gamble = write_json(tmp_path, "g.json", gamble_to_dict(Gamble.indicator(SPACE, "B")))
+    out = str(tmp_path / "seq.txt")
+    argv, message = {
+        "iid-two-models": (
+            ["generate", "--kind", "iid", "--models", models, "--length", "5",
+             "--out", out], "iid generation takes exactly one mass function"),
+        "adversarial-no-battery": (
+            ["generate", "--kind", "adversarial", "--system", envelope_system_file,
+             "--length", "5", "--out", out],
+            "adversarial generation needs --system and --battery"),
+        "verify-system-no-battery": (
+            ["verify", "--system", envelope_system_file], "verify --system needs --battery"),
+        "average-bad-residue": (
+            ["average", "--gamble", gamble, "--system", envelope_system_file,
+             "--sequence", all_b_sequence_file, "--selection", "residue:a:b"],
+            "selection must be 'all' or 'residue:m:i', got 'residue:a:b'"),
+    }[case]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "seq.txt").exists()
 
 
 def test_unknown_subcommand_exits_one():

@@ -226,6 +226,25 @@ class TestCoherence:
         report = check_coherence(Fake(space3), probes)
         assert not report.ok
 
+    @pytest.mark.parametrize("axiom, rule", [
+        ("boundedness", lambda g: g.minimum() - 1),
+        ("bounds", lambda g: g.maximum() + 1),
+        ("homogeneity", lambda g: g.minimum() + Fraction(1, 10)),
+        ("constant-additivity", lambda g: 2 * g.minimum()),
+        ("superadditivity", lambda g: g.maximum()),
+        ("uniform-continuity", lambda g: 2 * g.minimum()),
+        ("increasingness", lambda g: -sum(g.values)),
+    ])
+    def test_each_axiom_is_reported(self, space3, axiom, rule):
+        class Incoherent(VacuousModel):
+            def lower(self, g):
+                return rule(g)
+
+        probes = [Gamble.indicator(space3, "A"), Gamble.indicator(space3, "B"),
+                  Gamble.constant(space3, 1)]
+        report = check_coherence(Incoherent(space3), probes)
+        assert axiom in {v.axiom for v in report.violations}
+
     def test_linear_superadditivity_tight(self, vertices3, space3):
         rng = random.Random(8)
         model = LinearModel(vertices3[2])

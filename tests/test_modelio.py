@@ -135,6 +135,32 @@ class TestModelJson:
                                              "a 3-symbol space$"):
             model_from_dict(dict(obj, alphabet=ALPHABET), "m.json")
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"kind": "linear", "vertices": [["1/2", "1/5", "1/5"]]},
+         "pmf weights sum to 9/10, not 1"),
+        ({"kind": "envelope", "vertices": [["1", "0", "0"], ["1/2", "1/5", "1/5"]]},
+         "pmf weights sum to 9/10, not 1"),
+        ({"kind": "gamma_f", "gamma": "2", "anchor": ["1", "0", "0"]},
+         r"gamma 2 outside anchor range \[0, 1\]"),
+        ({"kind": "interval_f", "interval": ["1", "0"], "anchor": ["1", "0", "0"]},
+         "interval lower bound 1 > 0"),
+    ], ids=["linear-sum", "envelope-sum", "gamma-range", "interval-order"])
+    def test_model_invariants_name_the_file(self, obj, message):
+        # a model's own invariant stays one (exit 2), prefixed with the file
+        with pytest.raises(ModelInvariantError, match=r"^m\.json: " + message):
+            model_from_dict(dict(obj, alphabet=ALPHABET), "m.json")
+
+    @pytest.mark.parametrize("alphabet, message", [
+        (["A", "A"], r"duplicate symbols in \('A', 'A'\)"),
+        ([], "sample space must contain at least one symbol"),
+    ], ids=["duplicate", "empty"])
+    def test_bad_alphabets_name_the_file(self, alphabet, message):
+        # a bad alphabet breaks the file's format: exit 1, not a model invariant
+        for parse, obj in ((model_from_dict, {"kind": "vacuous"}),
+                           (gamble_from_dict, {"values": ["1"] * len(alphabet)})):
+            with pytest.raises(ParseError, match=r"^m\.json: " + message + "$"):
+                parse(dict(obj, alphabet=alphabet), "m.json")
+
     def test_kind_must_be_a_string(self):
         with pytest.raises(ParseError, match=r"m\.json: unknown kind"):
             model_from_dict({"alphabet": ALPHABET, "kind": ["vacuous"]}, "m.json")
@@ -213,6 +239,24 @@ class TestSystemJson:
             "table": [{"situation": ["Z"], "model": model_to_dict(envelope3)}],
         }
         with pytest.raises(ParseError, match=r"^sys\.json\[0\]: token 'Z'"):
+            system_from_dict(d, context="sys.json")
+
+    @pytest.mark.parametrize("kind, message", [
+        ("cyclic", r"^sys\.json: sample space mismatch: \('A', 'B', 'C'\) vs \('A', 'B'\)$"),
+        ("table", r"^sys\.json: sample space mismatch: \('A', 'B', 'C'\) vs \('A', 'B'\)$"),
+        ("bad-second", r"^sys\.json: models\[1\]: pmf weights sum to 9/10, not 1$"),
+    ])
+    def test_model_errors_name_the_file(self, space3, kind, message):
+        three = model_to_dict(VacuousModel(space3))
+        two = {"alphabet": ["A", "B"], "kind": "vacuous"}
+        bad = {"alphabet": ALPHABET, "kind": "linear", "vertices": [["1/2", "1/5", "1/5"]]}
+        d = {
+            "cyclic": {"kind": "cyclic", "models": [three, two]},
+            "table": {"kind": "table", "default": three,
+                      "table": [{"situation": ["A"], "model": two}]},
+            "bad-second": {"kind": "cyclic", "models": [three, bad]},
+        }[kind]
+        with pytest.raises(ModelInvariantError, match=message):
             system_from_dict(d, context="sys.json")
 
     @pytest.mark.parametrize("case", SITUATION_ROW_CASES)

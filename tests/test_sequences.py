@@ -325,6 +325,19 @@ class TestSequenceFiles:
         with pytest.raises(ImprandError, match=":1:.*'#x'"):
             read_sequence(path)
 
+    @pytest.mark.parametrize("header, message", [
+        ("# alphabet: A A", "duplicate symbols in ('A', 'A')"),
+        ("# alphabet:", "sample space must contain at least one symbol"),
+    ], ids=["duplicate", "empty"])
+    def test_bad_alphabet_header_names_the_line(self, tmp_path, header, message):
+        # a file error (exit 1), not a model invariant: the file and line are named
+        path = tmp_path / "data.txt"
+        path.write_text(f"# a comment\n{header}\nA\n")
+        with pytest.raises(ImprandError, match="^" + re.escape(f"{path}:2: {message}") + "$") \
+                as err:
+            read_sequence(path)
+        assert not isinstance(err.value, ModelInvariantError)
+
     def test_headerless_needs_space(self, tmp_path, space3):
         path = tmp_path / "data.txt"
         path.write_text("A B C\n")
