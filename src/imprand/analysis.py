@@ -275,18 +275,21 @@ def run_battery_fast(
     logs = [[[log2_rational(v) for v in row] for row in r] for r in rows]
     tables = np.array([[x for t in range(L) for x in r[t % len(r)]] for r in logs])
     counts = prefix.phase_counts(L)
-    log2_weights = np.array([log2_rational(w) for w in mixture_weights(len(strategies))])
+    # the weights 2^-i before their sum 2 - 2^(1-B) divides them out: each
+    # log2 is exact, so a step at which every capital is 1 reads exactly 0
+    B = len(strategies)
+    log2_weights, log2_total = -np.arange(B, dtype=float), math.log2(2 - 2.0 ** (1 - B))
     mixture_log2 = np.empty(len(prefix) + 1)
     # the mixture at a step reads only that step's column, so the steps go in
     # blocks; one (B, width) buffer holds log2 capitals, then the weighted terms
-    width = max(1, _KERNEL_CELLS // len(strategies))
+    width = max(1, _KERNEL_CELLS // B)
     for a in range(0, len(prefix) + 1, width):
         cum = tables @ counts[:, a : a + width]
         cum += log2_weights[:, None]
         peak = cum.max(axis=0)
         cum -= peak
         np.exp2(cum, out=cum)
-        mixture_log2[a : a + width] = peak + np.log2(cum.sum(axis=0))
+        mixture_log2[a : a + width] = peak + np.log2(cum.sum(axis=0)) - log2_total
     deficiency = float(max(0.0, mixture_log2.max()))
     return FastBatteryResult(deficiency_bits=deficiency, mixture_log2=mixture_log2)
 

@@ -9,7 +9,6 @@ function of its input files, flags and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys as _sys
 from typing import List, Optional
@@ -25,6 +24,7 @@ from imprand.core import (
     ModelInvariantError,
     ProbabilityMassFunction,
     SpaceMismatchError,
+    _check_same_space,
     _log2_at_least,
     format_rational,
     parse_rational,
@@ -39,13 +39,19 @@ from imprand.martingale import (
 )
 from imprand.modelio import (
     ParseError,
+    _dump_json,
+    _load_json,
+    _named,
     load_battery,
     load_gamble,
     load_model,
     load_system,
+    model_from_dict,
+    read_sequence,
+    write_sequence,
     write_trajectory_csv,
 )
-from imprand.sequences import GeneratorSpec, generate, read_sequence, write_sequence
+from imprand.sequences import GeneratorSpec, generate
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -66,13 +72,18 @@ def _threshold_bits(text: str) -> float:
     return value
 
 
-def _emit(obj: dict, out: Optional[str]) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        _sys.stdout.write(text)
+def _grid_step(text: str):
+    try:
+        return parse_rational(text)
+    except ModelInvariantError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _moduli(text: str) -> tuple:
+    try:
+        return tuple(int(m) for m in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
 
 
 def _system_and_battery(args):
@@ -136,7 +147,7 @@ def _cmd_analyze(args) -> int:
         "argmax_step": trajectory.argmax_step,
     }
     if args.format == "json":
-        _emit(report, args.out)
+        _dump_json(report, args.out)
     elif args.out:
         write_trajectory_csv(trajectory, args.out)
     print(
@@ -161,17 +172,12 @@ def _grid_report(grid) -> List[dict]:
 def _cmd_estimate_interval(args) -> int:
     f = load_gamble(args.gamble)
     prefix = read_sequence(args.sequence, f.space)
-    try:
-        moduli = tuple(int(m) for m in args.selection_moduli.split(","))
-        grid_step = parse_rational(args.grid_step)
-    except (ValueError, ModelInvariantError) as exc:
-        raise ParseError(str(exc)) from None
     estimate = estimate_interval(
         prefix,
         f,
         threshold_bits=args.threshold_bits,
-        grid_step=grid_step,
-        selection_moduli=moduli,
+        grid_step=args.grid_step,
+        selection_moduli=args.selection_moduli,
     )
     report = {
         "gamble": [format_rational(v) for v in f.values],
@@ -182,7 +188,7 @@ def _cmd_estimate_interval(args) -> int:
         "lower_grid": _grid_report(estimate.lower_grid),
         "upper_grid": _grid_report(estimate.upper_grid),
     }
-    _emit(report, args.out)
+    _dump_json(report, args.out)
     print(
         f"accepted interval [{format_rational(estimate.lo_accept)}, "
         f"{format_rational(estimate.hi_accept)}]"
@@ -191,8 +197,6 @@ def _cmd_estimate_interval(args) -> int:
 
 
 def _pmfs_from_model_file(path) -> List[ProbabilityMassFunction]:
-    from imprand.modelio import _load_json, model_from_dict
-
     obj = _load_json(path)
     items = obj if isinstance(obj, list) else [obj]
     pmfs = []
@@ -273,13 +277,15 @@ def _cmd_verify(args) -> int:
         report["classification"] = classifications
 
     report["ok"] = ok
-    _emit(report, args.out)
+    _dump_json(report, args.out)
     return EXIT_OK if ok else EXIT_INVARIANT
 
 
 def _cmd_average(args) -> int:
     f = load_gamble(args.gamble)
     system = load_system(args.system)
+    with _named(f"{args.gamble} against {args.system}"):  # before the data is read
+        _check_same_space(f, system)
     prefix = read_sequence(args.sequence, f.space)
     selection = _parse_selection(args.selection)
     result = check_running_average(prefix, f, selection, system)
@@ -293,7 +299,7 @@ def _cmd_average(args) -> int:
         "average_above_lower": fmt(result.average_above_lower),
         "average_below_upper": fmt(result.average_below_upper),
     }
-    _emit(report, args.out)
+    _dump_json(report, args.out)
     return EXIT_OK
 
 
@@ -323,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     est.add_argument("--gamble", required=True)
     est.add_argument("--sequence", required=True)
     est.add_argument("--threshold-bits", type=_threshold_bits, default=10.0)
-    est.add_argument("--grid-step", default="1/16")
-    est.add_argument("--selection-moduli", default="1,2,3,4")
+    est.add_argument("--grid-step", type=_grid_step, default="1/16")
+    est.add_argument("--selection-moduli", type=_moduli, default="1,2,3,4")
     est.add_argument("--out")
     est.set_defaults(handler=_cmd_estimate_interval)
 

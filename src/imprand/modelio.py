@@ -1,4 +1,6 @@
-"""File formats: JSON models, systems, gambles and batteries, trajectory CSV.
+"""File formats: JSON models, systems, gambles, batteries and reports,
+sequence files, trajectory CSV.  Every file imprand reads or writes goes
+through this module, and every malformed input raises :class:`ParseError`.
 
 All rationals travel as decimal-free "p/q" or "n" strings and round-trip
 bit-exactly.  Floats appear only in *_log2 / *_bits fields.  Unknown JSON
@@ -13,9 +15,10 @@ import decimal
 import io
 import json
 import math
+import sys as _sys
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from imprand.core import (
     Gamble,
@@ -48,6 +51,7 @@ from imprand.martingale import (
     SelectionProcess,
 )
 from imprand.analysis import Trajectory
+from imprand.sequences import SequencePrefix
 
 
 class ParseError(ImprandError):
@@ -82,14 +86,25 @@ def _rational_vector(values, size: int, context: str) -> Tuple[Fraction, ...]:
     return tuple(_rational(v, context) for v in values)
 
 
+def _alphabet(tokens, where: str) -> SampleSpace:
+    try:  # a bad alphabet breaks the file's format
+        return SampleSpace(tuple(tokens))
+    except ModelInvariantError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
+def _indices(space: SampleSpace, tokens, where: str) -> Tuple[int, ...]:
+    try:
+        return tuple(space.index_of(t) for t in tokens)
+    except ModelInvariantError as exc:
+        raise ParseError(f"{where}: {exc}") from None
+
+
 def _space_from(obj: dict, context: str) -> SampleSpace:
     alphabet = obj.get("alphabet")
     if not isinstance(alphabet, list) or not all(isinstance(t, str) for t in alphabet):
         raise ParseError(f"{context}: 'alphabet' must be a list of strings")
-    try:  # a bad alphabet breaks the file's format
-        return SampleSpace(tuple(alphabet))
-    except ModelInvariantError as exc:
-        raise ParseError(f"{context}: {exc}") from None
+    return _alphabet(alphabet, context)
 
 
 @contextmanager
@@ -190,20 +205,29 @@ def save_model(model: LowerExpectation, path) -> None:
     _dump_json(model_to_dict(model), path)
 
 
-def _load_json(path):
+def _read_text(path) -> str:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
-            return json.load(fh)
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from None
+
+
+def _load_json(path):
+    try:
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}: invalid JSON: {exc.msg}") from None
 
 
-def _dump_json(obj, path) -> None:
+def _dump_json(obj, path: Optional[str]) -> None:
+    """Sorted, indented JSON to path, or to stdout when there is none (None or "")."""
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    if not path:
+        _sys.stdout.write(text)
+        return
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _situation_rows(rows, field: str, space: SampleSpace, context: str, parse) -> dict:
@@ -217,10 +241,7 @@ def _situation_rows(rows, field: str, space: SampleSpace, context: str, parse) -
         tokens = row["situation"]
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise ParseError(f"{where}: 'situation' must be a list of token strings")
-        try:
-            key = tuple(space.index_of(t) for t in tokens)
-        except ModelInvariantError as exc:
-            raise ParseError(f"{where}: {exc}") from None
+        key = _indices(space, tokens, where)
         if key in table:
             raise ParseError(f"{where}: situation {tokens} is given twice")
         table[key] = parse(row[field], where)
@@ -363,6 +384,65 @@ def battery_from_list(
 
 def load_battery(path, space: SampleSpace) -> Tuple[BatteryEntry, ...]:
     return battery_from_list(_load_json(path), space, context=str(path))
+
+
+_HEADER_PREFIX = "# alphabet:"
+
+
+def _check_symbols(space: SampleSpace, context) -> None:
+    """A data line starting with '#' reads as a comment, so no symbol may."""
+    for t in space.symbols:
+        if t.startswith("#"):
+            raise ParseError(f"{context}: symbol {t!r} starts with '#', which sequence "
+                             "files read as a comment")
+
+
+def write_sequence(prefix: SequencePrefix, path) -> None:
+    """Whitespace-separated UTF-8 tokens with an alphabet header; wraps long
+    sequences for readability.  No symbol may start with '#'."""
+    _check_symbols(prefix.space, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{_HEADER_PREFIX} {' '.join(prefix.space.symbols)}\n")
+        tokens = prefix.tokens()
+        for start in range(0, len(tokens), 40):
+            fh.write(" ".join(tokens[start : start + 40]) + "\n")
+
+
+def read_sequence(path, space: Optional[SampleSpace] = None) -> SequencePrefix:
+    """Parse a sequence file; the alphabet comes from the header unless a
+    space is supplied, in which case each header must agree with it (a model
+    invariant, exit 2, naming the header's line).  Lines starting with '#'
+    are comments, so neither alphabet may have a symbol that does."""
+    if space is not None:
+        _check_symbols(space, path)
+    header = None
+    symbols: List[int] = []
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        where = f"{path}:{lineno}"
+        if stripped.startswith("#"):
+            if stripped.startswith(_HEADER_PREFIX):
+                declared = _alphabet(stripped[len(_HEADER_PREFIX) :].split(), where)
+                _check_symbols(declared, where)
+                if header is not None and declared != header:
+                    # the symbols read so far were indexed in the first one
+                    raise ParseError(f"{where}: alphabet {declared.symbols!r} differs "
+                                     f"from the earlier header's {header.symbols!r}")
+                if space is not None and declared != space:
+                    raise ModelInvariantError(f"{where}: alphabet {declared.symbols!r} "
+                                              f"differs from the other inputs' {space.symbols!r}")
+                header = declared
+            continue
+        if space is None and header is None:
+            raise ParseError(f"{where}: data before any '{_HEADER_PREFIX}' header "
+                             "and no alphabet supplied")
+        symbols += _indices(space or header, stripped.split(), where)
+    final = space or header
+    if final is None:
+        raise ParseError(f"{path}: no alphabet header and none supplied")
+    return SequencePrefix._trusted(final, tuple(symbols))
 
 
 # Capitals are carried as exact decimal integers: multiplying or dividing by a

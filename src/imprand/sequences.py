@@ -1,4 +1,5 @@
-"""Sequence data: prefixes, deterministic generation, and file round trips.
+"""Sequence data: prefixes and deterministic generation (the file format is
+:mod:`imprand.modelio`'s).
 
 Generation is reproducible bit-exactly across platforms: the PRNG is a fixed
 64-bit counter-based generator (splitmix64 applied to seed + counter) and
@@ -10,18 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from imprand.core import (
-    ImprandError,
-    ModelInvariantError,
-    ProbabilityMassFunction,
-    SampleSpace,
-    SpaceMismatchError,
-    _check_same_space,
-)
+from imprand.core import ModelInvariantError, ProbabilityMassFunction, _check_same_space
 from imprand.forecasting import Situation
 from imprand.martingale import (
     MultiplierProcess,
@@ -190,81 +184,3 @@ def _generate_adversarial(
         path.append(x)
 
     return SequencePrefix(space, path)
-
-
-_HEADER_PREFIX = "# alphabet:"
-
-
-def _check_symbols(space: SampleSpace, context) -> None:
-    """A data line starting with '#' reads as a comment, so no symbol may."""
-    for t in space.symbols:
-        if t.startswith("#"):
-            raise ImprandError(
-                f"{context}: symbol {t!r} starts with '#', which sequence files "
-                "read as a comment"
-            )
-
-
-def write_sequence(prefix: SequencePrefix, path) -> None:
-    """Whitespace-separated UTF-8 tokens with an alphabet header; wraps long
-    sequences for readability.  No symbol may start with '#'."""
-    _check_symbols(prefix.space, path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_HEADER_PREFIX} {' '.join(prefix.space.symbols)}\n")
-        tokens = prefix.tokens()
-        for start in range(0, len(tokens), 40):
-            fh.write(" ".join(tokens[start : start + 40]) + "\n")
-
-
-def read_sequence(path, space: Optional[SampleSpace] = None) -> SequencePrefix:
-    """Parse a sequence file; the alphabet comes from the header unless a
-    space is supplied, in which case the two must agree.  Lines starting
-    with '#' are comments, so neither alphabet may have a symbol that does."""
-    if space is not None:
-        _check_symbols(space, path)
-    header_space = None
-    symbols: List[int] = []
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise ImprandError(f"{path}: not UTF-8 text: {exc}") from None
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            if stripped.startswith(_HEADER_PREFIX):
-                try:  # a bad alphabet breaks the file's format
-                    declared = SampleSpace(tuple(stripped[len(_HEADER_PREFIX) :].split()))
-                except ModelInvariantError as exc:
-                    raise ImprandError(f"{path}:{lineno}: {exc}") from None
-                _check_symbols(declared, f"{path}:{lineno}")
-                if header_space is not None and declared != header_space:
-                    # the symbols read so far were indexed in the first one
-                    raise ImprandError(
-                        f"{path}:{lineno}: alphabet {declared.symbols!r} differs "
-                        f"from the earlier header's {header_space.symbols!r}"
-                    )
-                header_space = declared
-            continue
-        if space is None and header_space is None:
-            raise ImprandError(
-                f"{path}:{lineno}: data before any '{_HEADER_PREFIX}' header "
-                "and no alphabet supplied"
-            )
-        current = space or header_space
-        for token in stripped.split():
-            try:
-                symbols.append(current.index_of(token))
-            except ModelInvariantError:
-                raise ImprandError(
-                    f"{path}:{lineno}: token {token!r} not in alphabet "
-                    f"{current.symbols!r}"
-                ) from None
-    if header_space is not None and space is not None and header_space != space:
-        raise SpaceMismatchError(space, header_space)
-    final = space or header_space
-    if final is None:
-        raise ImprandError(f"{path}: no alphabet header and none supplied")
-    return SequencePrefix(final, symbols)

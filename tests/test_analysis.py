@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from imprand import (
+    AnchorIntervalModel,
     EnvelopeModel,
     Gamble,
     GeneratorSpec,
+    IntervalQ,
     LLNStrategyParams,
     LinearModel,
     CyclicSystem,
@@ -30,6 +32,7 @@ from imprand import (
     check_running_average,
     classify_process,
     default_battery,
+    dominates,
     estimate_interval,
     from_multiplier,
     generate,
@@ -511,6 +514,19 @@ class TestFastPath:
             run_battery_fast(SequencePrefix(space3, (0,)), system(anchor_sys.model),
                              [params])
 
+    def test_steps_where_every_capital_is_one_read_exactly_zero(self, space3, anchor_sys):
+        # the mixture weights' log2s are exact, so no rounding shows at such a step
+        f = Gamble.indicator(space3, "A")
+        empty = SequencePrefix(space3, ())
+        for B in (1, 2, 3, 12, 24, 240, 320):
+            for residue, prefix in ((0, empty), (1, SequencePrefix(space3, (0,)))):
+                # residue 1 mod 2 selects no strategy at the first step
+                params = [LLNStrategyParams(f, "lower", Fraction(1, k + 2),
+                                            SelectionProcess.residue_class(2, residue))
+                          for k in range(B)]
+                fast = run_battery_fast(prefix, anchor_sys, params)
+                assert fast.mixture_log2.tolist() == [0.0] * (len(prefix) + 1), (B, residue)
+
     def test_memory_is_one_buffer(self, space3, vertices3):
         # B=24, N=20000: the kernel may hold fewer than three (B, N+1)
         # float64 arrays at once
@@ -772,6 +788,66 @@ def test_vacuous_absorbs_small(space3, f_example):
         t = run_battery(prefix, sys, battery)
         assert t.deficiency_bits == 0.0
         assert t.mixture_max <= 1
+
+
+def _more_informative_pairs(rng, space):
+    """Pairs (E, E') with E' at least as informative as E: an envelope and a
+    sub-envelope, an envelope and one of its vertices, the vacuous model and
+    any model, and a gamma model at gamma and at gamma' >= gamma."""
+    def between(lo, hi):
+        return lo + (hi - lo) * Fraction(rng.randint(0, 8), 8)
+
+    vertices = [rand_pmf(rng, space) for _ in range(rng.randint(2, 4))]
+    anchor = rand_gamble(rng, space)
+    gamma = between(anchor.minimum(), anchor.maximum())
+    stronger = between(gamma, anchor.maximum())
+    interval = IntervalQ(*sorted(between(anchor.minimum(), anchor.maximum()) for _ in "lh"))
+    any_model = rng.choice([
+        LinearModel(vertices[0]), EnvelopeModel(tuple(vertices)),
+        AnchorGammaModel(anchor=anchor, gamma=gamma),
+        AnchorIntervalModel(anchor=anchor, interval=interval)])
+    sub = rng.sample(vertices, rng.randint(1, len(vertices)))
+    return [
+        (EnvelopeModel(tuple(vertices)), EnvelopeModel(tuple(sub))),
+        (EnvelopeModel(tuple(vertices)), LinearModel(rng.choice(vertices))),
+        (VacuousModel(space), any_model),
+        (AnchorGammaModel(anchor=anchor, gamma=gamma),
+         AnchorGammaModel(anchor=anchor, gamma=stronger)),
+    ]
+
+
+def test_more_informative_models_never_shrink_a_capital():
+    # The paper's monotonicity, per path: when E' is at least as informative as
+    # E on f, each LLN factor on f is at least as large under E' (lower side
+    # 1 - xi (f(x) - E(f)), upper side 1 - xi (upper(f) - f(x))), and so is
+    # every capital and the mixture at every step.  No reference arithmetic:
+    # each engine is checked against itself under the two models.
+    rng = random.Random(2005)
+    violations = []
+    for trial in range(48):
+        space = SampleSpace(tuple("ABCD"[: rng.randint(2, 4)]))
+        f = rand_gamble(rng, space)
+        params = battery_for_gambles((f,), (1, 2))
+        prefix = SequencePrefix(space, tuple(rng.randrange(space.size) for _ in range(120)))
+        for E, stronger in _more_informative_pairs(rng, space):
+            assert dominates(E, stronger, [f, -f])
+            runs = []
+            for sys in (StationarySystem(E), StationarySystem(stronger)):
+                walk = run_battery(prefix, sys, [lln_strategy(p, sys) for p in params])
+                runs.append((walk, _phase_tables(sys, params),
+                             run_battery_fast(prefix, sys, params).mixture_log2))
+            (walk, table, kernel), (walk2, table2, kernel2) = runs
+            for name, rows, rows2 in (("walk", walk.factors, walk2.factors),
+                                      ("table", table, table2)):
+                assert [len(r) for r in rows] == [len(r) for r in rows2]
+                violations += [(trial, name, i) for i, (r, r2) in enumerate(zip(rows, rows2))
+                               for row, row2 in zip(r, r2) for x, x2 in zip(row, row2)
+                               if x > x2]
+            if walk.mixture_max > walk2.mixture_max:
+                violations.append((trial, "mixture_max"))
+            violations += [(trial, "kernel", n) for n, (x, x2) in enumerate(zip(kernel, kernel2))
+                           if x > x2 + 1e-9 * max(1.0, abs(x))]
+    assert not violations, f"{len(violations)} violations, first {violations[:5]}"
 
 
 def test_space_mismatch_names_left_then_right(space3, vertices3, anchor_sys,

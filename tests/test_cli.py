@@ -417,15 +417,24 @@ class TestEstimateInterval:
         assert Fraction(report["lo_accept"]) >= Fraction(3, 4)
         assert report["lower_grid"][0]["accepted"] is True
 
-    def test_bad_grid_step_exits_one(self, tmp_path):
+    def _bad_flag(self, tmp_path, capsys, flag, value):
         gamble = write_json(tmp_path, "g.json",
                             gamble_to_dict(Gamble.indicator(SPACE, "A")))
         seq = tmp_path / "seq.txt"
         write_sequence(generate(GeneratorSpec.iid(
             ProbabilityMassFunction.point_mass(SPACE, "A"), 10, seed=0)), seq)
         code = main(["estimate-interval", "--gamble", gamble, "--sequence",
-                     str(seq), "--grid-step", "0.25"])
+                     str(seq), flag, value])
         assert code == 1
+        # the message names the flag
+        assert capsys.readouterr().err.startswith(f"error: argument {flag}: ")
+
+    def test_bad_grid_step_exits_one(self, tmp_path, capsys):
+        for value in ("0.25", "x"):
+            self._bad_flag(tmp_path, capsys, "--grid-step", value)
+
+    def test_non_integer_moduli_flag_exits_one(self, tmp_path, capsys):
+        self._bad_flag(tmp_path, capsys, "--selection-moduli", "1,a")
 
     def test_grid_over_the_budget_exits_two(self, tmp_path, capsys):
         # 3000001 points per side: refused before the grid is built
@@ -608,17 +617,20 @@ class TestAverage:
 
 @pytest.mark.parametrize("bad, code, message", [
     ("header", 1, ":1: duplicate symbols in ('A', 'A')"),
+    ("alphabet", 2, ":1: alphabet ('A', 'B') differs from the other inputs' ('A', 'B', 'C')"),
     ("model", 2, ": pmf weights sum to 9/10, not 1"),
 ])
 def test_input_errors_name_the_file(tmp_path, envelope_system_file, all_b_sequence_file,
                                     capsys, bad, code, message):
-    # a bad alphabet breaks the file's format (exit 1); a model's own
-    # invariant stays one (exit 2); both name the file they came from
+    # a bad alphabet breaks the file's format (exit 1); a header that differs
+    # from the other inputs' alphabet and a model's own invariant are model
+    # invariants (exit 2); each names the file (and line) it came from
     gamble = write_json(tmp_path, "g.json", gamble_to_dict(Gamble.indicator(SPACE, "B")))
     sequence, system = all_b_sequence_file, envelope_system_file
-    if bad == "header":
-        sequence = target = str(tmp_path / "dup.txt")
-        (tmp_path / "dup.txt").write_text("# alphabet: A A\nA\n")
+    if bad in ("header", "alphabet"):
+        sequence = target = str(tmp_path / "bad.txt")
+        header = "A A" if bad == "header" else "A B"
+        (tmp_path / "bad.txt").write_text(f"# alphabet: {header}\nA\n")
     else:
         system = target = write_json(tmp_path, "bad_system.json", {
             "kind": "stationary",
@@ -626,6 +638,18 @@ def test_input_errors_name_the_file(tmp_path, envelope_system_file, all_b_sequen
     assert main(["average", "--gamble", gamble, "--system", system,
                  "--sequence", sequence]) == code
     assert capsys.readouterr().err == f"error: {target}{message}\n"
+
+
+def test_average_checks_the_gamble_against_the_system_first(tmp_path, envelope_system_file,
+                                                           all_b_sequence_file, capsys):
+    # a valid 3-symbol data file is not blamed for a 2-symbol gamble
+    gamble = write_json(tmp_path, "g2.json", gamble_to_dict(
+        Gamble.indicator(SampleSpace(("A", "B")), "B")))
+    assert main(["average", "--gamble", gamble, "--system", envelope_system_file,
+                 "--sequence", all_b_sequence_file]) == 2
+    err = capsys.readouterr().err
+    assert gamble in err and envelope_system_file in err
+    assert all_b_sequence_file not in err
 
 
 @pytest.mark.parametrize("case", ["iid-two-models", "adversarial-no-battery",

@@ -10,6 +10,7 @@ from imprand import (
     Gamble,
     GeneratorSpec,
     MultiplierProcess,
+    ParseError,
     ProbabilityMassFunction,
     SampleSpace,
     SequencePrefix,
@@ -19,7 +20,7 @@ from imprand import (
     read_sequence,
     write_sequence,
 )
-from imprand.core import ImprandError, ModelInvariantError, SpaceMismatchError
+from imprand.core import ModelInvariantError, SpaceMismatchError
 from imprand.martingale import mixture_weights
 from imprand.sequences import _splitmix64_block
 
@@ -284,7 +285,7 @@ class TestSequenceFiles:
     def test_unknown_token_reports_line(self, space3, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# alphabet: A B C\nA B\nC D\n")
-        with pytest.raises(ImprandError) as err:
+        with pytest.raises(ParseError) as err:
             read_sequence(path)
         assert ":3:" in str(err.value)
         assert "'D'" in str(err.value)
@@ -297,15 +298,16 @@ class TestSequenceFiles:
         assert seq.space == space3
 
     def test_alphabet_mismatch(self, tmp_path):
+        # the header disagrees with the other inputs, not with the file's format
         path = tmp_path / "data.txt"
         path.write_text("# alphabet: A B\nA\n")
-        with pytest.raises(ImprandError):
+        with pytest.raises(ModelInvariantError, match=re.escape(f"{path}:1: alphabet")):
             read_sequence(path, SampleSpace(("A", "B", "C")))
 
     def test_second_alphabet_header_must_agree(self, tmp_path, space3):
         path = tmp_path / "data.txt"
         path.write_text("# alphabet: A B C\nA A\n# alphabet: C B A\nC\n")
-        with pytest.raises(ImprandError, match=":3:"):
+        with pytest.raises(ParseError, match=":3:"):
             read_sequence(path)
         # a repeated identical header is fine
         path.write_text("# alphabet: A B C\nA A\n# alphabet: A B C\nC\n")
@@ -315,14 +317,14 @@ class TestSequenceFiles:
         # data lines starting with '#' would read back as comments
         space = SampleSpace(("#", "A"))
         path = tmp_path / "data.txt"
-        with pytest.raises(ImprandError, match="'#'"):
+        with pytest.raises(ParseError, match="'#'"):
             write_sequence(SequencePrefix(space, (0, 1, 0, 0)), path)
         assert not path.exists()
         path.write_text("# alphabet: A B\nA B\n")
-        with pytest.raises(ImprandError, match="'#x'"):
+        with pytest.raises(ParseError, match="'#x'"):
             read_sequence(path, SampleSpace(("A", "#x")))
         path.write_text("# alphabet: #x A\nA\n")
-        with pytest.raises(ImprandError, match=":1:.*'#x'"):
+        with pytest.raises(ParseError, match=":1:.*'#x'"):
             read_sequence(path)
 
     @pytest.mark.parametrize("header, message", [
@@ -333,17 +335,29 @@ class TestSequenceFiles:
         # a file error (exit 1), not a model invariant: the file and line are named
         path = tmp_path / "data.txt"
         path.write_text(f"# a comment\n{header}\nA\n")
-        with pytest.raises(ImprandError, match="^" + re.escape(f"{path}:2: {message}") + "$") \
+        with pytest.raises(ParseError, match="^" + re.escape(f"{path}:2: {message}") + "$") \
                 as err:
             read_sequence(path)
         assert not isinstance(err.value, ModelInvariantError)
 
+    def test_unreadable_files_name_the_path(self, tmp_path, space3):
+        # a missing or non-UTF-8 file reads "path: <reason>", as a JSON file does
+        path = tmp_path / "data.txt"
+        with pytest.raises(ParseError, match="^" + re.escape(f"{path}: ")):
+            read_sequence(path, space3)
+        path.write_bytes(b"# alphabet: A B C\nA \xff\n")
+        with pytest.raises(ParseError, match="^" + re.escape(f"{path}: ") + ".*utf-8"):
+            read_sequence(path, space3)
+
     def test_headerless_needs_space(self, tmp_path, space3):
         path = tmp_path / "data.txt"
         path.write_text("A B C\n")
-        with pytest.raises(ImprandError):
+        with pytest.raises(ParseError, match=re.escape(f"{path}:1: data before")):
             read_sequence(path)
         assert read_sequence(path, space3).tokens() == ("A", "B", "C")
+        path.write_text("")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: no alphabet header")):
+            read_sequence(path)
 
 
 def test_mixture_weights_renormalize():
