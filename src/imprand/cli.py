@@ -86,6 +86,20 @@ def _moduli(text: str) -> tuple:
         raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
 
 
+def _selection(text: str) -> SelectionProcess:
+    if text == "all":
+        return SelectionProcess.all_ones()
+    parts = text.split(":")
+    if len(parts) == 3 and parts[0] == "residue":
+        try:
+            m, i = int(parts[1]), int(parts[2])
+        except ValueError:
+            pass
+        else:
+            return SelectionProcess.residue_class(m, i)  # a bad class is a model invariant
+    raise argparse.ArgumentTypeError(f"must be 'all' or 'residue:m:i', got {text!r}")
+
+
 def _system_and_battery(args):
     system = load_system(args.system)
     return system, tuple(
@@ -114,19 +128,9 @@ def _audit(system, battery, depth):
         yield classify_process(from_multiplier(member), system, depth)
 
 
-def _parse_selection(text: str) -> SelectionProcess:
-    if text == "all":
-        return SelectionProcess.all_ones()
-    parts = text.split(":")
-    if len(parts) == 3 and parts[0] == "residue":
-        try:
-            return SelectionProcess.residue_class(int(parts[1]), int(parts[2]))
-        except ValueError:
-            pass
-    raise ParseError(f"selection must be 'all' or 'residue:m:i', got {text!r}")
-
-
 def _cmd_analyze(args) -> int:
+    if args.format == "csv" and args.out == "":
+        raise ParseError("--out is empty: --format csv writes its trajectory to a file")
     system, battery = _system_and_battery(args)
     prefix = read_sequence(args.sequence, system.space)
     if args.audit_depth is not None:
@@ -287,8 +291,7 @@ def _cmd_average(args) -> int:
     with _named(f"{args.gamble} against {args.system}"):  # before the data is read
         _check_same_space(f, system)
     prefix = read_sequence(args.sequence, f.space)
-    selection = _parse_selection(args.selection)
-    result = check_running_average(prefix, f, selection, system)
+    result = check_running_average(prefix, f, args.selection, system)
 
     def fmt(v):
         return None if v is None else format_rational(v)
@@ -356,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     avg.add_argument("--gamble", required=True)
     avg.add_argument("--system", required=True)
     avg.add_argument("--sequence", required=True)
-    avg.add_argument("--selection", default="all")
+    avg.add_argument("--selection", type=_selection, default="all")
     avg.add_argument("--out")
     avg.set_defaults(handler=_cmd_average)
 

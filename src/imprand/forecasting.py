@@ -2,10 +2,11 @@
 
 A situation is a finite sequence of outcomes; situations form the event tree
 rooted at the empty sequence.  A forecasting system assigns a coherent lower
-expectation to every situation.  Four rule families are provided: stationary
-(one model everywhere), cyclic (model chosen by depth mod M), table-backed
-(explicit map with a default), and programmatic (an arbitrary pure function
-of the situation).
+expectation to every situation.  Three rule families are provided: cyclic
+(model chosen by depth mod M), table-backed (explicit map with a default),
+and programmatic (an arbitrary pure function of the situation).  A stationary
+system (one model everywhere) is the plain case of a cyclic one, the cycle
+of period 1.
 
 A system's ``period`` is L when its forecast depends on the depth mod L
 alone, and None when it is not depth-periodic; :func:`joint_period` combines
@@ -117,22 +118,8 @@ class ForecastingSystem:
 
 
 @dataclass(frozen=True)
-class StationarySystem(ForecastingSystem):
-    model: LowerExpectation
-    period = 1
-
-    @property
-    def space(self) -> SampleSpace:
-        return self.model.space
-
-    def forecast(self, s: Situation) -> LowerExpectation:
-        _check_same_space(self, s)
-        return self.model
-
-
-@dataclass(frozen=True)
 class CyclicSystem(ForecastingSystem):
-    """Model chosen by depth mod M; period-1 degenerates to stationary."""
+    """Model chosen by depth mod M."""
 
     models: Tuple[LowerExpectation, ...]
 
@@ -154,6 +141,21 @@ class CyclicSystem(ForecastingSystem):
     def forecast(self, s: Situation) -> LowerExpectation:
         _check_same_space(self, s)
         return self.models[s.depth % len(self.models)]
+
+
+class StationarySystem(CyclicSystem):
+    """The period-1 cycle: one model at every situation."""
+
+    def __init__(self, model: LowerExpectation):
+        super().__init__((model,))
+
+    @property
+    def model(self) -> LowerExpectation:
+        return self.models[0]
+
+    def forecast(self, s: Situation) -> LowerExpectation:
+        _check_same_space(self, s)
+        return self.models[0]
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,23 @@
-"""Coherent lower expectations in five exact representations.
+"""Coherent lower expectations in exact representations.
 
 A coherent lower expectation assigns to every gamble a value satisfying
 boundedness (min f <= E(f)), non-negative homogeneity (E(a*f) = a*E(f) for
-a >= 0) and superadditivity (E(f) + E(g) <= E(f+g)).  The representations:
+a >= 0) and superadditivity (E(f) + E(g) <= E(f+g)).  Two general forms:
 
-* ``LinearModel`` -- a single probability mass function (precise limit case).
 * ``EnvelopeModel`` -- the lower envelope (pointwise minimum) of the linear
   expectations of a finite vertex list of a credal set.
-* ``VacuousModel`` -- E(g) = min g, the maximally conservative model.
-* ``AnchorGammaModel`` -- the least conservative coherent lower expectation
-  with E(anchor) = gamma: the credal set {p : gamma <= E_p(anchor)}.
 * ``AnchorIntervalModel`` -- the least conservative one with E(anchor) and
-  upper(anchor) in [lo, hi]: the credal set {p : lo <= E_p(anchor) <= hi}.
+  upper(anchor) in [lo, hi]: the credal set {p : lo <= E_p(anchor) <= hi},
+  whose minimum is taken over its vertices.
 
-Both anchored models take the minimum over their credal set's vertices.
+The plain cases are subclasses of these, each with a cheaper ``lower``:
+
+* ``LinearModel`` -- the envelope of one vertex, a single probability mass
+  function (the precise case).
+* ``VacuousModel`` -- the envelope of all point masses: E(g) = min g, the
+  maximally conservative model.
+* ``AnchorGammaModel`` -- the slab [gamma, max anchor]: the least
+  conservative model with E(anchor) = gamma.
 
 All evaluations are exact rational arithmetic.
 """
@@ -63,19 +67,6 @@ class LowerExpectation:
 
 
 @dataclass(frozen=True)
-class LinearModel(LowerExpectation):
-    pmf: ProbabilityMassFunction
-
-    @property
-    def space(self) -> SampleSpace:
-        return self.pmf.space
-
-    def lower(self, g: Gamble) -> Fraction:
-        _check_same_space(self, g)
-        return linear_expectation(self.pmf, g)
-
-
-@dataclass(frozen=True)
 class EnvelopeModel(LowerExpectation):
     """Lower envelope of the linear expectations of explicit credal vertices."""
 
@@ -97,9 +88,27 @@ class EnvelopeModel(LowerExpectation):
         return min(linear_expectation(p, g) for p in self.vertices)
 
 
-@dataclass(frozen=True)
-class VacuousModel(LowerExpectation):
-    space: SampleSpace
+class LinearModel(EnvelopeModel):
+    """The envelope of one vertex: a single probability mass function."""
+
+    def __init__(self, pmf: ProbabilityMassFunction):
+        super().__init__((pmf,))
+
+    @property
+    def pmf(self) -> ProbabilityMassFunction:
+        return self.vertices[0]
+
+    def lower(self, g: Gamble) -> Fraction:
+        _check_same_space(self, g)
+        return linear_expectation(self.pmf, g)
+
+
+class VacuousModel(EnvelopeModel):
+    """The envelope of all point masses: E(g) = min g."""
+
+    def __init__(self, space: SampleSpace):
+        super().__init__(
+            tuple(ProbabilityMassFunction.point_mass(space, t) for t in space.symbols))
 
     def lower(self, g: Gamble) -> Fraction:
         _check_same_space(self, g)
@@ -119,35 +128,6 @@ def _slab_lower(anchor: Gamble, lo: Fraction, hi: Fraction, g: Gamble) -> Fracti
                 if ax > c > ay:
                     candidates.append(gy + (c - ay) / (ax - ay) * (gx - gy))
     return min(candidates)
-
-
-@dataclass(frozen=True)
-class AnchorGammaModel(LowerExpectation):
-    """Least conservative coherent lower expectation with lower(anchor) = gamma.
-
-    The credal set {p : gamma <= E_p(anchor) <= max(anchor)}: satisfies
-    lower(anchor) = gamma and upper(anchor) = max(anchor) exactly, and is
-    dominated by every coherent lower expectation E' with gamma <= E'(anchor).
-    """
-
-    anchor: Gamble
-    gamma: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "gamma", as_rational(self.gamma))
-        if not (self.anchor.minimum() <= self.gamma <= self.anchor.maximum()):
-            raise ModelInvariantError(
-                f"gamma {self.gamma} outside anchor range "
-                f"[{self.anchor.minimum()}, {self.anchor.maximum()}]"
-            )
-
-    @property
-    def space(self) -> SampleSpace:
-        return self.anchor.space
-
-    def lower(self, g: Gamble) -> Fraction:
-        _check_same_space(self, g)
-        return _slab_lower(self.anchor, self.gamma, self.anchor.maximum(), g)
 
 
 @dataclass(frozen=True)
@@ -176,6 +156,30 @@ class AnchorIntervalModel(LowerExpectation):
     def lower(self, g: Gamble) -> Fraction:
         _check_same_space(self, g)
         return _slab_lower(self.anchor, self.interval.lo, self.interval.hi, g)
+
+
+class AnchorGammaModel(AnchorIntervalModel):
+    """Least conservative coherent lower expectation with lower(anchor) = gamma.
+
+    The anchored model on the slab [gamma, max(anchor)]: satisfies
+    lower(anchor) = gamma and upper(anchor) = max(anchor) exactly, and is
+    dominated by every coherent lower expectation E' with gamma <= E'(anchor).
+    """
+
+    def __init__(self, anchor: Gamble, gamma):
+        gamma = as_rational(gamma)
+        if not anchor.minimum() <= gamma <= anchor.maximum():
+            raise ModelInvariantError(
+                f"gamma {gamma} outside anchor range "
+                f"[{anchor.minimum()}, {anchor.maximum()}]"
+            )
+        super().__init__(anchor, IntervalQ(gamma, anchor.maximum()))
+
+    @property
+    def gamma(self) -> Fraction:
+        return self.interval.lo
+
+    lower = AnchorIntervalModel.lower  # in the class body: perfbench wraps each class's own lower
 
 
 @dataclass(frozen=True)

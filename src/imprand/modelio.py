@@ -162,39 +162,23 @@ def model_from_dict(obj: dict, context: str = "model") -> LowerExpectation:
 
 
 def model_to_dict(model: LowerExpectation) -> dict:
-    alphabet = list(model.space.symbols)
+    out = {"alphabet": list(model.space.symbols)}
     if isinstance(model, VacuousModel):
-        return {"alphabet": alphabet, "kind": "vacuous"}
-    if isinstance(model, LinearModel):
-        return {
-            "alphabet": alphabet,
-            "kind": "linear",
-            "vertices": [[format_rational(w) for w in model.pmf.weights]],
-        }
-    if isinstance(model, EnvelopeModel):
-        return {
-            "alphabet": alphabet,
-            "kind": "envelope",
-            "vertices": [[format_rational(w) for w in v.weights] for v in model.vertices],
-        }
-    if isinstance(model, AnchorGammaModel):
-        return {
-            "alphabet": alphabet,
-            "kind": "gamma_f",
-            "gamma": format_rational(model.gamma),
-            "anchor": [format_rational(v) for v in model.anchor.values],
-        }
-    if isinstance(model, AnchorIntervalModel):
-        return {
-            "alphabet": alphabet,
-            "kind": "interval_f",
-            "interval": [
-                format_rational(model.interval.lo),
-                format_rational(model.interval.hi),
-            ],
-            "anchor": [format_rational(v) for v in model.anchor.values],
-        }
-    raise ModelInvariantError(f"cannot serialize model type {type(model).__name__}")
+        out["kind"] = "vacuous"
+    elif isinstance(model, EnvelopeModel):
+        out["kind"] = "linear" if isinstance(model, LinearModel) else "envelope"
+        out["vertices"] = [[format_rational(w) for w in v.weights] for v in model.vertices]
+    elif isinstance(model, AnchorIntervalModel):
+        if isinstance(model, AnchorGammaModel):
+            out.update(kind="gamma_f", gamma=format_rational(model.gamma))
+        else:
+            out["kind"] = "interval_f"
+            out["interval"] = [format_rational(model.interval.lo),
+                               format_rational(model.interval.hi)]
+        out["anchor"] = [format_rational(v) for v in model.anchor.values]
+    else:
+        raise ModelInvariantError(f"cannot serialize model type {type(model).__name__}")
+    return out
 
 
 def load_model(path) -> LowerExpectation:
@@ -277,10 +261,9 @@ def system_from_dict(obj: dict, context: str = "system") -> ForecastingSystem:
 
 
 def system_to_dict(sys: ForecastingSystem) -> dict:
-    if isinstance(sys, StationarySystem):
-        return {"kind": "stationary", "models": [model_to_dict(sys.model)]}
     if isinstance(sys, CyclicSystem):
-        return {"kind": "cyclic", "models": [model_to_dict(m) for m in sys.models]}
+        kind = "stationary" if isinstance(sys, StationarySystem) else "cyclic"
+        return {"kind": kind, "models": [model_to_dict(m) for m in sys.models]}
     if isinstance(sys, TableSystem):
         return {
             "kind": "table",

@@ -821,32 +821,48 @@ def test_more_informative_models_never_shrink_a_capital():
     # E on f, each LLN factor on f is at least as large under E' (lower side
     # 1 - xi (f(x) - E(f)), upper side 1 - xi (upper(f) - f(x))), and so is
     # every capital and the mixture at every step.  No reference arithmetic:
-    # each engine is checked against itself under the two models.
+    # each engine is checked against itself under the two systems.  192
+    # stationary pairs come first, then 64 period-2 cyclic pairs that are
+    # more informative phase by phase.
     rng = random.Random(2005)
     violations = []
-    for trial in range(48):
+
+    def draw():
         space = SampleSpace(tuple("ABCD"[: rng.randint(2, 4)]))
         f = rand_gamble(rng, space)
-        params = battery_for_gambles((f,), (1, 2))
         prefix = SequencePrefix(space, tuple(rng.randrange(space.size) for _ in range(120)))
+        return space, f, battery_for_gambles((f,), (1, 2)), prefix
+
+    def compare(trial, prefix, params, sys, stronger):
+        runs = []
+        for s in (sys, stronger):
+            walk = run_battery(prefix, s, [lln_strategy(p, s) for p in params])
+            runs.append((walk, _phase_tables(s, params),
+                         run_battery_fast(prefix, s, params).mixture_log2))
+        (walk, table, kernel), (walk2, table2, kernel2) = runs
+        for name, rows, rows2 in (("walk", walk.factors, walk2.factors),
+                                  ("table", table, table2)):
+            assert [len(r) for r in rows] == [len(r) for r in rows2]
+            violations.extend((trial, name, i) for i, (r, r2) in enumerate(zip(rows, rows2))
+                              for row, row2 in zip(r, r2) for x, x2 in zip(row, row2)
+                              if x > x2)
+        if walk.mixture_max > walk2.mixture_max:
+            violations.append((trial, "mixture_max"))
+        violations.extend((trial, "kernel", n) for n, (x, x2) in enumerate(zip(kernel, kernel2))
+                          if x > x2 + 1e-9 * max(1.0, abs(x)))
+
+    for trial in range(48):
+        space, f, params, prefix = draw()
         for E, stronger in _more_informative_pairs(rng, space):
             assert dominates(E, stronger, [f, -f])
-            runs = []
-            for sys in (StationarySystem(E), StationarySystem(stronger)):
-                walk = run_battery(prefix, sys, [lln_strategy(p, sys) for p in params])
-                runs.append((walk, _phase_tables(sys, params),
-                             run_battery_fast(prefix, sys, params).mixture_log2))
-            (walk, table, kernel), (walk2, table2, kernel2) = runs
-            for name, rows, rows2 in (("walk", walk.factors, walk2.factors),
-                                      ("table", table, table2)):
-                assert [len(r) for r in rows] == [len(r) for r in rows2]
-                violations += [(trial, name, i) for i, (r, r2) in enumerate(zip(rows, rows2))
-                               for row, row2 in zip(r, r2) for x, x2 in zip(row, row2)
-                               if x > x2]
-            if walk.mixture_max > walk2.mixture_max:
-                violations.append((trial, "mixture_max"))
-            violations += [(trial, "kernel", n) for n, (x, x2) in enumerate(zip(kernel, kernel2))
-                           if x > x2 + 1e-9 * max(1.0, abs(x))]
+            compare(trial, prefix, params, StationarySystem(E), StationarySystem(stronger))
+    for trial in range(48, 64):
+        space, f, params, prefix = draw()
+        phases = zip(_more_informative_pairs(rng, space), _more_informative_pairs(rng, space))
+        for (E0, stronger0), (E1, stronger1) in phases:
+            E, stronger = CyclicSystem((E0, E1)), CyclicSystem((stronger0, stronger1))
+            assert pointwise_leq(E, stronger, 1, [f, -f])
+            compare(trial, prefix, params, E, stronger)
     assert not violations, f"{len(violations)} violations, first {violations[:5]}"
 
 

@@ -134,6 +134,23 @@ class TestAnalyze:
         last = rows[-1]
         assert Fraction(int(last[3]), int(last[4])) == Fraction(67, 64) ** 300
 
+    def test_csv_to_an_empty_out_exits_one(self, tmp_path, anchor_system_file,
+                                           all_b_sequence_file, capsys):
+        # --out "" is stdout for a JSON report, but names no file for the CSV
+        battery = write_json(tmp_path, "battery.json", LLN_BATTERY)
+        code = main(["analyze", "--system", anchor_system_file, "--battery", battery,
+                     "--sequence", all_b_sequence_file, "--out", ""])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: --out ")
+        assert captured.out == ""
+        code = main(["analyze", "--system", anchor_system_file, "--battery", battery,
+                     "--sequence", all_b_sequence_file, "--format", "json", "--out", ""])
+        assert code == 3
+        report, summary = capsys.readouterr().out.rsplit("}\n", 1)
+        assert json.loads(report + "}")["exceeded"] is True
+        assert summary.startswith("deficiency ")
+
     def test_json_report(self, tmp_path, anchor_system_file, all_b_sequence_file):
         battery = write_json(tmp_path, "battery.json", LLN_BATTERY)
         out = tmp_path / "report.json"
@@ -607,12 +624,27 @@ class TestAverage:
         assert json.loads(capsys.readouterr().out)["selected_count"] == 100
 
     def test_bad_selection_exits_one(self, tmp_path, envelope_system_file,
-                                     all_b_sequence_file):
+                                     all_b_sequence_file, capsys):
+        # the flag is checked before any file is read: a missing gamble file
+        # does not hide it
+        for gamble in (write_json(tmp_path, "g.json",
+                                  gamble_to_dict(Gamble.indicator(SPACE, "B"))),
+                       str(tmp_path / "missing.json")):
+            assert main(["average", "--gamble", gamble, "--system",
+                         envelope_system_file, "--sequence", all_b_sequence_file,
+                         "--selection", "every-other"]) == 1
+            assert capsys.readouterr().err == (
+                "error: argument --selection: must be 'all' or 'residue:m:i', "
+                "got 'every-other'\n")
+
+    def test_bad_residue_class_exits_two(self, tmp_path, envelope_system_file,
+                                         all_b_sequence_file, capsys):
         gamble = write_json(tmp_path, "g.json",
                             gamble_to_dict(Gamble.indicator(SPACE, "B")))
         assert main(["average", "--gamble", gamble, "--system",
                      envelope_system_file, "--sequence", all_b_sequence_file,
-                     "--selection", "every-other"]) == 1
+                     "--selection", "residue:0:0"]) == 2
+        assert "bad residue class 0 mod 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad, code, message", [
@@ -673,7 +705,7 @@ def test_usage_errors_exit_one(tmp_path, envelope_system_file, all_b_sequence_fi
         "average-bad-residue": (
             ["average", "--gamble", gamble, "--system", envelope_system_file,
              "--sequence", all_b_sequence_file, "--selection", "residue:a:b"],
-            "selection must be 'all' or 'residue:m:i', got 'residue:a:b'"),
+            "argument --selection: must be 'all' or 'residue:m:i', got 'residue:a:b'"),
     }[case]
     assert main(argv) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
