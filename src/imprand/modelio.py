@@ -169,13 +169,14 @@ def model_to_dict(model: LowerExpectation) -> dict:
         out["kind"] = "linear" if isinstance(model, LinearModel) else "envelope"
         out["vertices"] = [[format_rational(w) for w in v.weights] for v in model.vertices]
     elif isinstance(model, AnchorIntervalModel):
+        out["anchor"] = [format_rational(v) for v in model.anchor.values]
         if isinstance(model, AnchorGammaModel):
-            out.update(kind="gamma_f", gamma=format_rational(model.gamma))
+            out["kind"] = "gamma_f"
+            out["gamma"] = format_rational(model.gamma)
         else:
             out["kind"] = "interval_f"
             out["interval"] = [format_rational(model.interval.lo),
                                format_rational(model.interval.hi)]
-        out["anchor"] = [format_rational(v) for v in model.anchor.values]
     else:
         raise ModelInvariantError(f"cannot serialize model type {type(model).__name__}")
     return out
