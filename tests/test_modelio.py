@@ -142,9 +142,12 @@ class TestModelJson:
          "pmf weights sum to 9/10, not 1"),
         ({"kind": "gamma_f", "gamma": "2", "anchor": ["1", "0", "0"]},
          r"gamma 2 outside anchor range \[0, 1\]"),
+        ({"kind": "gamma_f", "gamma": "-1", "anchor": ["1", "0", "0"]},
+         r"gamma -1 outside anchor range \[0, 1\]"),
         ({"kind": "interval_f", "interval": ["1", "0"], "anchor": ["1", "0", "0"]},
          "interval lower bound 1 > 0"),
-    ], ids=["linear-sum", "envelope-sum", "gamma-range", "interval-order"])
+    ], ids=["linear-sum", "envelope-sum", "gamma-range", "gamma-below",
+            "interval-order"])
     def test_model_invariants_name_the_file(self, obj, message):
         # a model's own invariant stays one (exit 2), prefixed with the file
         with pytest.raises(ModelInvariantError, match=r"^m\.json: " + message):

@@ -8,8 +8,6 @@ import json
 import random
 from fractions import Fraction
 
-import pytest
-
 from imprand import (
     AnchorGammaModel,
     AnchorIntervalModel,
@@ -24,7 +22,6 @@ from imprand import (
     StationarySystem,
     VacuousModel,
 )
-from imprand.core import ModelInvariantError
 from imprand.modelio import save_model, save_system
 
 from conftest import rand_gamble, rand_pmf
@@ -72,14 +69,6 @@ def test_plain_cases_equal_their_general_forms():
     assert AnchorGammaModel(anchor=anchor, gamma="1/4").gamma == Fraction(1, 4)
     assert AnchorGammaModel(anchor=anchor, gamma="1/4").interval == IntervalQ(
         Fraction(1, 4), Fraction(1))
-
-
-def test_gamma_outside_the_anchor_range_keeps_its_message():
-    anchor = Gamble(SampleSpace(("A", "B")), ("1", "0"))
-    for gamma in ("-1", "2"):
-        message = rf"gamma {gamma} outside anchor range \[0, 1\]"
-        with pytest.raises(ModelInvariantError, match=message):
-            AnchorGammaModel(anchor=anchor, gamma=gamma)
 
 
 def _json(obj) -> str:
