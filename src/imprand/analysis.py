@@ -11,9 +11,10 @@ Two evaluation paths are provided.  ``run_battery`` is exact rational
 arithmetic over explicit multiplier processes.  ``run_battery_fast`` handles
 systems and selections with a ``period``: every betting factor then depends
 only on depth modulo a small period L, so both paths keep each member's exact
-factors once per phase in one table, ``Trajectory.factors``, read by one rule,
-and the float log2 capitals are its log2s times the prefix's cumulative
-(phase, symbol) counts, in blocks of steps.
+factors once per phase in one table, ``Trajectory.factors``, read by one rule.
+The float path builds each distinct bet's row once and shares it between the
+members that place it, and its log2 capitals are the rows' log2s times the
+prefix's cumulative (phase, symbol) counts, in blocks of steps.
 """
 
 from __future__ import annotations
@@ -215,8 +216,10 @@ def _phase_tables(
     sys: ForecastingSystem, strategies: Sequence[LLNStrategyParams]
 ) -> Tuple[Tuple[Tuple[Fraction, ...], ...], ...]:
     """Each strategy's exact factors once per phase of its own period, in
-    ``Trajectory.factors``' format; each exact forecast is taken once per
-    (system phase, gamble, direction), shared by every stake and selection."""
+    ``Trajectory.factors``' format.  Each distinct bet (system phase, gamble,
+    direction, epsilon; an unselected phase bets nothing) gets one row, built by
+    :meth:`LLNStrategyParams.betting_factor` and shared by every member placing
+    it; each exact forecast is taken once per (system phase, gamble, direction)."""
     L = joint_period(sys.period, *(p.selection.period for p in strategies))
     if L is None:
         raise ModelInvariantError(
@@ -225,6 +228,8 @@ def _phase_tables(
     # any path reaches each phase: the factors depend on the depth alone
     phases = [Situation._trusted(sys.space, (0,) * t) for t in range(L)]
     increments: dict = {}  # (system phase, gamble, direction) -> exact increment
+    stakes: dict = {}  # (gamble, direction, epsilon) -> its number: one hash per member
+    rows: dict = {}  # (system phase, stake number) or None (unselected) -> row
 
     def increment(t: int, p: LLNStrategyParams) -> Gamble:
         key = (t % sys.period, p.f, p.direction)
@@ -232,10 +237,18 @@ def _phase_tables(
             increments[key] = p.increment(sys.forecast(phases[key[0]]))
         return increments[key]
 
-    return tuple(
-        tuple(p.betting_factor(s, lambda: increment(t, p)).values for t, s in
-              enumerate(phases[: joint_period(sys.period, p.selection.period)]))
-        for p in strategies)
+    def row(t: int, p: LLNStrategyParams, stake: int) -> Tuple[Fraction, ...]:
+        bet = (t % sys.period, stake) if p.selection.selects(phases[t]) else None
+        if bet not in rows:
+            rows[bet] = p.betting_factor(phases[t], lambda: increment(t, p)).values
+        return rows[bet]
+
+    tables = []
+    for p in strategies:
+        stake = stakes.setdefault((p.f, p.direction, p.epsilon), len(stakes))
+        period = joint_period(sys.period, p.selection.period)
+        tables.append(tuple(row(t, p, stake) for t in range(period)))
+    return tuple(tables)
 
 
 # floats in the float kernel's block buffer: small enough to stay in cache
@@ -272,8 +285,10 @@ def run_battery_fast(
         _check_same_space(prefix, part)
     rows = _phase_tables(sys, strategies)
     L = joint_period(*map(len, rows))
-    logs = [[[log2_rational(v) for v in row] for row in r] for r in rows]
-    tables = np.array([[x for t in range(L) for x in r[t % len(r)]] for r in logs])
+    # members placing one bet hold one row tuple, so each distinct row is taken once
+    distinct = {id(row): row for r in rows for row in r}
+    logs = {key: [log2_rational(v) for v in row] for key, row in distinct.items()}
+    tables = np.array([[x for t in range(L) for x in logs[id(r[t % len(r)])]] for r in rows])
     counts = prefix.phase_counts(L)
     # the weights 2^-i before their sum 2 - 2^(1-B) divides them out: each
     # log2 is exact, so a step at which every capital is 1 reads exactly 0

@@ -271,8 +271,8 @@ class LLNStrategyParams:
     """Parameters of the running-average betting strategy.
 
     The bound B = max(1, max f - min f) and stake xi = epsilon/(2*B^2) are
-    derived; epsilon must lie in (0, B), which guarantees 0 < xi < 1/B and
-    hence strictly positive betting factors.
+    derived once, as attributes ``bound`` and ``xi``; epsilon must lie in (0, B),
+    which guarantees 0 < xi < 1/B and hence strictly positive betting factors.
     """
 
     f: Gamble
@@ -284,18 +284,13 @@ class LLNStrategyParams:
         object.__setattr__(self, "epsilon", as_rational(self.epsilon))
         if self.direction not in ("lower", "upper"):
             raise ModelInvariantError(f"direction must be lower|upper, got {self.direction!r}")
-        if not 0 < self.epsilon < self.bound:
+        bound = max(Fraction(1), self.f.spread())
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "xi", self.epsilon / (2 * bound ** 2))
+        if not 0 < self.epsilon < bound:
             raise ModelInvariantError(
-                f"epsilon {self.epsilon} outside (0, B) with B = {self.bound}"
+                f"epsilon {self.epsilon} outside (0, B) with B = {bound}"
             )
-
-    @property
-    def bound(self) -> Fraction:
-        return max(Fraction(1), self.f.spread())
-
-    @property
-    def xi(self) -> Fraction:
-        return self.epsilon / (2 * self.bound ** 2)
 
     def increment(self, model: LowerExpectation) -> Gamble:
         """f minus its lower forecast ("lower"), or its upper forecast minus f."""
@@ -305,10 +300,9 @@ class LLNStrategyParams:
 
     def betting_factor(self, s: Situation, increment: Callable[[], Gamble]) -> Gamble:
         """D(s) = 1 - xi*S(s)*increment(), asked only at a selected step."""
-        one = Gamble.constant(self.f.space, 1)
         if not self.selection.selects(s):
-            return one
-        g = one - increment().scale(self.xi)
+            return Gamble.constant(self.f.space, 1)
+        g = Gamble(self.f.space, tuple(1 - self.xi * v for v in increment().values))
         if g.minimum() <= 0:
             raise ModelInvariantError(
                 f"betting factor not positive at {s.tokens()!r}: min {g.minimum()}"

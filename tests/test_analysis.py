@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -44,7 +45,7 @@ from imprand import (
 from imprand import analysis
 from imprand.analysis import AverageReport, _phase_tables
 from imprand.core import ModelInvariantError, log2_rational
-from imprand.forecasting import iter_situations
+from imprand.forecasting import iter_situations, joint_period
 from imprand.lowerexp import AnchorGammaModel
 from imprand.martingale import mixture_weights
 
@@ -498,6 +499,49 @@ class TestFastPath:
         monkeypatch.setattr(analysis, "_phase_tables", lambda *_: walk.factors)
         again = run_battery_fast(prefix, sys, params)
         assert again.mixture_log2.tobytes() == fast.mixture_log2.tobytes()
+
+    def test_members_placing_one_bet_share_its_row(self, space3, envelope3, anchor_sys,
+                                                  f_example):
+        # repeated stakes in both directions on two gambles, with the selections of
+        # moduli (1, 2, 3), against a period-2 system: a row key without the system
+        # phase, gamble, direction, epsilon or selected flag hands some member
+        # another bet's row
+        sys = CyclicSystem((envelope3, anchor_sys.model))
+        params = battery_for_gambles((Gamble.indicator(space3, "A"), f_example),
+                                     selection_moduli=(1, 2, 3))
+        # a repeated member, one whose gamble is an equal but new object, and one
+        # that places a member's stake on another gamble
+        params += (params[5], dataclasses.replace(params[50], f=Gamble(space3, ("1", "-2", "3"))),
+                   dataclasses.replace(params[5], f=Gamble.indicator(space3, "C")))
+        rows = _phase_tables(sys, params)
+        path = (2, 1, 0, 2, 1)
+        for p, r in zip(params, rows):
+            member = lln_strategy(p, sys)
+            assert len(r) == joint_period(sys.period, p.selection.period)
+            for t, row in enumerate(r):
+                assert row == member.factor(Situation(space3, path[:t])).values
+        # one tuple per selected bet, and one unit row
+        bets = {(t % 2, p.f, p.direction, p.epsilon) for p in params
+                for t in range(6) if t % p.selection.modulus == p.selection.residue}
+        assert len({id(row) for r in rows for row in r}) == len(bets) + 1 == 35
+
+    def test_each_bet_is_built_and_taken_log2_once(self, space3, f_example, monkeypatch):
+        # the battery and system of one grid point of estimate_interval: 12 members
+        # with 20 rows between them place 4 selected bets and the unit row
+        sys = StationarySystem(AnchorGammaModel(anchor=f_example, gamma=Fraction(1, 4)))
+        params = battery_for_gambles((f_example,), selection_moduli=(1, 2),
+                                     directions=("lower",))
+        prefix = SequencePrefix(space3, (0, 1, 2) * 20)
+        expected = run_battery_fast(prefix, sys, params).mixture_log2
+        assert sum(map(len, _phase_tables(sys, params))) == 20
+        built, logs = [], []
+        build, log2 = LLNStrategyParams.betting_factor, analysis.log2_rational
+        monkeypatch.setattr(LLNStrategyParams, "betting_factor",
+                            lambda p, *a: built.append(p) or build(p, *a))
+        monkeypatch.setattr(analysis, "log2_rational", lambda v: logs.append(v) or log2(v))
+        fast = run_battery_fast(prefix, sys, params)
+        assert (len(built), len(logs)) == (5, 15)
+        assert fast.mixture_log2.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("system, selection", [
         (StationarySystem, SelectionProcess.from_table({}, default=1)),

@@ -64,6 +64,11 @@ LLN_BATTERY = [{
 # csv.writer; integer sums and joined rows must not change a byte
 _CSV_GOLDEN_SHA256 = "43b37f5af2d93ec06fca153df74bbcfe11d46d04efb88cf0c9af513ba5f27b88"
 
+# SHA-256 of estimate-interval's JSON on TestEstimateInterval.test_json_golden's
+# input, recorded from the implementation that built every member's factor row
+# at every phase; sharing one row per distinct bet must not change a byte
+_INTERVAL_GOLDEN_SHA256 = "530f602409b1016718a672780441c570c67cafc7c18f1ff12c479b2e7d9dab4e"
+
 _S = 2 ** 200  # the denominator of the factors next to 2^10.5
 
 
@@ -433,6 +438,22 @@ class TestEstimateInterval:
         assert report["hi_accept"] == "1"
         assert Fraction(report["lo_accept"]) >= Fraction(3, 4)
         assert report["lower_grid"][0]["accepted"] is True
+
+    def test_json_golden(self, tmp_path):
+        # f = (1, -2, 3) on 2000 steps that alternate between the vertices
+        # (0, 1/2, 1/2) and (1/2, 1/2, 0), with the selections of moduli 1 and 2
+        gamble = write_json(tmp_path, "f.json",
+                            gamble_to_dict(Gamble(SPACE, ("1", "-2", "3"))))
+        half = Fraction(1, 2)
+        even = ProbabilityMassFunction(SPACE, (Fraction(0), half, half))
+        odd = ProbabilityMassFunction(SPACE, (half, half, Fraction(0)))
+        seq = tmp_path / "cyclic.txt"
+        write_sequence(generate(GeneratorSpec.cyclic((even, odd), 2000, seed=5)), seq)
+        out = tmp_path / "interval.json"
+        code = main(["estimate-interval", "--gamble", gamble, "--sequence", str(seq),
+                     "--selection-moduli", "1,2", "--out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == _INTERVAL_GOLDEN_SHA256
 
     def _bad_flag(self, tmp_path, capsys, flag, value):
         gamble = write_json(tmp_path, "g.json",
