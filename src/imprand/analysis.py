@@ -220,13 +220,14 @@ def _phase_tables(
     direction, epsilon; an unselected phase bets nothing) gets one row, built by
     :meth:`LLNStrategyParams.betting_factor` and shared by every member placing
     it; each exact forecast is taken once per (system phase, gamble, direction)."""
-    L = joint_period(sys.period, *(p.selection.period for p in strategies))
-    if L is None:
+    periods = [joint_period(sys.period, p.selection.period) for p in strategies]
+    if None in periods:
         raise ModelInvariantError(
             "fast battery evaluation needs a system and selections with a period"
         )
-    # any path reaches each phase: the factors depend on the depth alone
-    phases = [Situation._trusted(sys.space, (0,) * t) for t in range(L)]
+    # any path reaches each phase: the factors depend on the depth alone, and
+    # no row reads past its member's own period
+    phases = [Situation._trusted(sys.space, (0,) * t) for t in range(max(periods, default=0))]
     increments: dict = {}  # (system phase, gamble, direction) -> exact increment
     stakes: dict = {}  # (gamble, direction, epsilon) -> its number: one hash per member
     rows: dict = {}  # (system phase, stake number) or None (unselected) -> row
@@ -244,15 +245,15 @@ def _phase_tables(
         return rows[bet]
 
     tables = []
-    for p in strategies:
+    for p, period in zip(strategies, periods):
         stake = stakes.setdefault((p.f, p.direction, p.epsilon), len(stakes))
-        period = joint_period(sys.period, p.selection.period)
         tables.append(tuple(row(t, p, stake) for t in range(period)))
     return tuple(tables)
 
 
 # floats in the float kernel's block buffer: small enough to stay in cache
 _KERNEL_CELLS = 1 << 14
+_KERNEL_BUDGET = 1 << 25  # cells in each of the kernel's table and count view
 
 
 @dataclass(frozen=True)
@@ -275,8 +276,9 @@ def run_battery_fast(
     factors (:func:`_phase_tables`) at the L phases by ``Trajectory.factors``'
     rule, times the prefix's cumulative (phase, symbol) counts, so the data
     enter only through those counts.  The product is taken over blocks of
-    steps, so memory is O(B * block), not O(B * N).  Capital paths are
-    floats; use :func:`run_battery` when exactness is required.
+    steps, so memory is O(B * block), not O(B * N); a table or count view of
+    more than ``_KERNEL_BUDGET`` cells is refused before either is built.
+    Capital paths are floats; use :func:`run_battery` when exactness is required.
     """
     strategies = list(strategies)
     if not strategies:
@@ -284,7 +286,13 @@ def run_battery_fast(
     for part in (sys, *(p.f for p in strategies)):
         _check_same_space(prefix, part)
     rows = _phase_tables(sys, strategies)
-    L = joint_period(*map(len, rows))
+    B, L, K, N = len(strategies), joint_period(*map(len, rows)), prefix.space.size, len(prefix)
+    if max(B, N + 1) * L * K > _KERNEL_BUDGET:  # before either is built
+        raise ModelInvariantError(
+            f"float kernel with B = {B} strategies, joint period L = {L}, K = {K} "
+            f"symbols and N = {N} steps needs a (B, L*K) table and an (L*K, N+1) "
+            f"count view, over the budget of {_KERNEL_BUDGET} cells each"
+        )
     # members placing one bet hold one row tuple, so each distinct row is taken once
     distinct = {id(row): row for r in rows for row in r}
     logs = {key: [log2_rational(v) for v in row] for key, row in distinct.items()}
@@ -292,13 +300,12 @@ def run_battery_fast(
     counts = prefix.phase_counts(L)
     # the weights 2^-i before their sum 2 - 2^(1-B) divides them out: each
     # log2 is exact, so a step at which every capital is 1 reads exactly 0
-    B = len(strategies)
     log2_weights, log2_total = -np.arange(B, dtype=float), math.log2(2 - 2.0 ** (1 - B))
-    mixture_log2 = np.empty(len(prefix) + 1)
+    mixture_log2 = np.empty(N + 1)
     # the mixture at a step reads only that step's column, so the steps go in
     # blocks; one (B, width) buffer holds log2 capitals, then the weighted terms
     width = max(1, _KERNEL_CELLS // B)
-    for a in range(0, len(prefix) + 1, width):
+    for a in range(0, N + 1, width):
         cum = tables @ counts[:, a : a + width]
         cum += log2_weights[:, None]
         peak = cum.max(axis=0)

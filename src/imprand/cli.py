@@ -23,7 +23,6 @@ from imprand.core import (
     ImprandError,
     ModelInvariantError,
     ProbabilityMassFunction,
-    SpaceMismatchError,
     _check_same_space,
     _log2_at_least,
     format_rational,
@@ -375,10 +374,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except (ModelInvariantError, SpaceMismatchError) as exc:
+    except ModelInvariantError as exc:  # a space mismatch is one
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_INVARIANT
-    except (ParseError, ImprandError, OSError) as exc:
+    except (ImprandError, OSError) as exc:  # a ParseError is one
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_PARSE
     finally:

@@ -25,7 +25,11 @@ class ImprandError(Exception):
     """Base class for all library errors."""
 
 
-class SpaceMismatchError(ImprandError):
+class ModelInvariantError(ImprandError):
+    """A domain-type invariant is violated."""
+
+
+class SpaceMismatchError(ModelInvariantError):
     """Two objects that must share a sample space do not."""
 
     def __init__(self, left: "SampleSpace", right: "SampleSpace"):
@@ -34,10 +38,6 @@ class SpaceMismatchError(ImprandError):
         super().__init__(
             f"sample space mismatch: {left.symbols!r} vs {right.symbols!r}"
         )
-
-
-class ModelInvariantError(ImprandError):
-    """A domain-type invariant is violated."""
 
 
 def parse_rational(text: str) -> Fraction:

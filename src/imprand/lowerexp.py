@@ -6,9 +6,9 @@ a >= 0) and superadditivity (E(f) + E(g) <= E(f+g)).  Two general forms:
 
 * ``EnvelopeModel`` -- the lower envelope (pointwise minimum) of the linear
   expectations of a finite vertex list of a credal set.
-* ``AnchorIntervalModel`` -- the least conservative one with E(anchor) and
-  upper(anchor) in [lo, hi]: the credal set {p : lo <= E_p(anchor) <= hi},
-  whose minimum is taken over its vertices.
+* ``AnchorIntervalModel(anchor, lo, hi)`` -- the least conservative one with
+  E(anchor) and upper(anchor) in [lo, hi]: the credal set
+  {p : lo <= E_p(anchor) <= hi}, whose minimum is taken over its vertices.
 
 The plain cases are subclasses of these:
 
@@ -37,20 +37,6 @@ from imprand.core import (
     as_rational,
     linear_expectation,
 )
-
-
-@dataclass(frozen=True)
-class IntervalQ:
-    """A closed rational interval [lo, hi]."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", as_rational(self.lo))
-        object.__setattr__(self, "hi", as_rational(self.hi))
-        if self.lo > self.hi:
-            raise ModelInvariantError(f"interval lower bound {self.lo} > {self.hi}")
 
 
 class LowerExpectation:
@@ -134,19 +120,23 @@ def _slab_lower(anchor: Gamble, lo: Fraction, hi: Fraction, g: Gamble) -> Fracti
 class AnchorIntervalModel(LowerExpectation):
     """Least conservative model pinning the anchor's expectation interval.
 
-    The credal set {p : interval.lo <= E_p(anchor) <= interval.hi}; lower(g)
-    is the minimum of E_p(g) over its vertices.
+    The credal set {p : lo <= E_p(anchor) <= hi}; lower(g) is the minimum of
+    E_p(g) over its vertices.
     """
 
     anchor: Gamble
-    interval: IntervalQ
+    lo: Fraction
+    hi: Fraction
 
     def __post_init__(self):
-        lo, hi = self.anchor.minimum(), self.anchor.maximum()
-        if self.interval.lo < lo or self.interval.hi > hi:
+        object.__setattr__(self, "lo", as_rational(self.lo))
+        object.__setattr__(self, "hi", as_rational(self.hi))
+        if self.lo > self.hi:
+            raise ModelInvariantError(f"interval lower bound {self.lo} > {self.hi}")
+        a, b = self.anchor.minimum(), self.anchor.maximum()
+        if self.lo < a or self.hi > b:
             raise ModelInvariantError(
-                f"interval [{self.interval.lo}, {self.interval.hi}] not contained "
-                f"in anchor range [{lo}, {hi}]"
+                f"interval [{self.lo}, {self.hi}] not contained in anchor range [{a}, {b}]"
             )
 
     @property
@@ -155,7 +145,7 @@ class AnchorIntervalModel(LowerExpectation):
 
     def lower(self, g: Gamble) -> Fraction:
         _check_same_space(self, g)
-        return _slab_lower(self.anchor, self.interval.lo, self.interval.hi, g)
+        return _slab_lower(self.anchor, self.lo, self.hi, g)
 
 
 class AnchorGammaModel(AnchorIntervalModel):
@@ -173,11 +163,11 @@ class AnchorGammaModel(AnchorIntervalModel):
                 f"gamma {gamma} outside anchor range "
                 f"[{anchor.minimum()}, {anchor.maximum()}]"
             )
-        super().__init__(anchor, IntervalQ(gamma, anchor.maximum()))
+        super().__init__(anchor, gamma, anchor.maximum())
 
     @property
     def gamma(self) -> Fraction:
-        return self.interval.lo
+        return self.lo
 
     # in the class body: perfbench wraps each class's own lower
     lower = AnchorIntervalModel.lower

@@ -26,7 +26,6 @@ from imprand.core import (
     ModelInvariantError,
     ProbabilityMassFunction,
     SampleSpace,
-    SpaceMismatchError,
     format_rational,
     parse_rational,
 )
@@ -34,7 +33,6 @@ from imprand.lowerexp import (
     AnchorGammaModel,
     AnchorIntervalModel,
     EnvelopeModel,
-    IntervalQ,
     LinearModel,
     LowerExpectation,
     VacuousModel,
@@ -113,7 +111,7 @@ def _named(context: str):
     entry it came from; models on different alphabets break one too."""
     try:
         yield
-    except (ModelInvariantError, SpaceMismatchError) as exc:
+    except ModelInvariantError as exc:
         raise ModelInvariantError(f"{context}: {exc}") from None
 
 
@@ -156,9 +154,7 @@ def model_from_dict(obj: dict, context: str = "model") -> LowerExpectation:
         if not isinstance(interval, list) or len(interval) != 2:
             raise ParseError(f"{context}: 'interval' must be a two-element list")
         return AnchorIntervalModel(
-            anchor=anchor,
-            interval=IntervalQ(_rational(interval[0], context), _rational(interval[1], context)),
-        )
+            anchor, _rational(interval[0], context), _rational(interval[1], context))
 
 
 def model_to_dict(model: LowerExpectation) -> dict:
@@ -175,8 +171,7 @@ def model_to_dict(model: LowerExpectation) -> dict:
             out["gamma"] = format_rational(model.gamma)
         else:
             out["kind"] = "interval_f"
-            out["interval"] = [format_rational(model.interval.lo),
-                               format_rational(model.interval.hi)]
+            out["interval"] = [format_rational(model.lo), format_rational(model.hi)]
     else:
         raise ModelInvariantError(f"cannot serialize model type {type(model).__name__}")
     return out

@@ -45,7 +45,7 @@ from imprand import (
     run_battery_fast,
 )
 from imprand.forecasting import iter_situations
-from imprand.lowerexp import AnchorGammaModel, AnchorIntervalModel, IntervalQ
+from imprand.lowerexp import AnchorGammaModel, AnchorIntervalModel
 from imprand.martingale import ApproxProcess, RationalProcess
 
 from conftest import (
@@ -112,7 +112,7 @@ def test_anchored_models_hit_their_targets():
             continue
         a = lo + (hi - lo) * Fraction(rng.randint(0, 7), 8)
         b = a + (hi - a) * Fraction(rng.randint(0, 8), 8)
-        model = AnchorIntervalModel(anchor=f, interval=IntervalQ(a, b))
+        model = AnchorIntervalModel(anchor=f, lo=a, hi=b)
         assert model.lower(f) == a
         assert model.upper(f) == b
         probes = [rand_gamble(rng, space) for _ in range(6)]

@@ -14,7 +14,6 @@ from imprand import (
     EnvelopeModel,
     Gamble,
     GeneratorSpec,
-    IntervalQ,
     LLNStrategyParams,
     LinearModel,
     CyclicSystem,
@@ -543,6 +542,45 @@ class TestFastPath:
         assert (len(built), len(logs)) == (5, 15)
         assert fast.mixture_log2.tobytes() == expected.tobytes()
 
+    def test_phases_reach_only_the_longest_member_period(self, space3, anchor_sys, f_example,
+                                                          monkeypatch):
+        # moduli (7, 8, 9) on a stationary system: the joint period is 504, but
+        # no member's row reads past phase 8
+        params = battery_for_gambles((f_example,), selection_moduli=(7, 8, 9))
+        prefix = SequencePrefix(space3, (2, 0, 1, 1, 0) * 2)
+        walk = run_battery(prefix, anchor_sys, [lln_strategy(p, anchor_sys) for p in params])
+        built, trusted = [], Situation._trusted.__func__
+        monkeypatch.setattr(Situation, "_trusted",
+                            classmethod(lambda cls, *a: built.append(a) or trusted(cls, *a)))
+        assert _phase_tables(anchor_sys, params) == walk.factors
+        assert len(built) == 9
+
+    def test_a_kernel_over_the_budget_is_refused_before_it_is_built(self, space3, anchor_sys,
+                                                                    f_example, monkeypatch):
+        # moduli (1, 2, 3): B = 48, L = 6, K = 3, so the table holds 48 * 18 cells
+        # and the count view of N = 60 steps 18 * 61; the larger must fit the budget
+        params = battery_for_gambles((f_example,), selection_moduli=(1, 2, 3))
+        counted = []
+        monkeypatch.setattr(SequencePrefix, "phase_counts",
+                            lambda p, L, counts=SequencePrefix.phase_counts:
+                            counted.append(L) or counts(p, L))
+        for n, cells in ((60, 18 * 61), (9, 48 * 18)):
+            prefix = SequencePrefix(space3, (0, 1, 2) * (n // 3))
+            monkeypatch.setattr(analysis, "_KERNEL_BUDGET", cells)
+            run_battery_fast(prefix, anchor_sys, params)
+            monkeypatch.setattr(analysis, "_KERNEL_BUDGET", cells - 1)
+            with pytest.raises(ModelInvariantError, match=(
+                    f"B = 48 strategies, joint period L = 6, K = 3 symbols and N = {n} "
+                    rf"steps needs a \(B, L\*K\) table and an \(L\*K, N\+1\) count view, "
+                    f"over the budget of {cells - 1} cells each$")):
+                run_battery_fast(prefix, anchor_sys, params)
+        assert counted == [6, 6]
+        # moduli 1, ..., 13: L = 360360, refused at once at the real budget
+        monkeypatch.undo()
+        params = battery_for_gambles((f_example,), selection_moduli=tuple(range(1, 14)))
+        with pytest.raises(ModelInvariantError, match="B = 728 .* L = 360360, K = 3 .* N = 201 "):
+            run_battery_fast(SequencePrefix(space3, (0, 1, 2) * 67), anchor_sys, params)
+
     @pytest.mark.parametrize("system, selection", [
         (StationarySystem, SelectionProcess.from_table({}, default=1)),
         (lambda m: TableSystem(table={}, default=m), SelectionProcess.all_ones()),
@@ -845,11 +883,11 @@ def _more_informative_pairs(rng, space):
     anchor = rand_gamble(rng, space)
     gamma = between(anchor.minimum(), anchor.maximum())
     stronger = between(gamma, anchor.maximum())
-    interval = IntervalQ(*sorted(between(anchor.minimum(), anchor.maximum()) for _ in "lh"))
+    lo, hi = sorted(between(anchor.minimum(), anchor.maximum()) for _ in "lh")
     any_model = rng.choice([
         LinearModel(vertices[0]), EnvelopeModel(tuple(vertices)),
         AnchorGammaModel(anchor=anchor, gamma=gamma),
-        AnchorIntervalModel(anchor=anchor, interval=interval)])
+        AnchorIntervalModel(anchor=anchor, lo=lo, hi=hi)])
     sub = rng.sample(vertices, rng.randint(1, len(vertices)))
     return [
         (EnvelopeModel(tuple(vertices)), EnvelopeModel(tuple(sub))),

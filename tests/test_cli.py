@@ -8,6 +8,7 @@ from math import isqrt
 
 import pytest
 
+from imprand import analysis
 from imprand import (
     Gamble,
     GeneratorSpec,
@@ -487,6 +488,22 @@ class TestEstimateInterval:
         assert "[-2, 1] gives 3000001 points per side" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_kernel_over_the_budget_exits_two(self, tmp_path, monkeypatch, capsys):
+        # the default moduli 1..4 over 3 symbols: a (40, 36) table and a (36, 7)
+        # count view, refused under a budget of 1439 cells
+        monkeypatch.setattr(analysis, "_KERNEL_BUDGET", 40 * 36 - 1)
+        gamble = write_json(tmp_path, "g.json", gamble_to_dict(Gamble.indicator(SPACE, "A")))
+        seq = tmp_path / "seq.txt"
+        write_sequence(SequencePrefix(SPACE, (0, 1, 2, 0, 1, 2)), seq)
+        out = tmp_path / "est.json"
+        assert main(["estimate-interval", "--gamble", gamble, "--sequence", str(seq),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: float kernel with B = 40 strategies, joint period L = 12, K = 3 symbols "
+            "and N = 6 steps needs a (B, L*K) table and an (L*K, N+1) count view, over the "
+            "budget of 1439 cells each\n")
+        assert not out.exists()
+
     def test_bad_selection_modulus_exits_two(self, tmp_path, iid_sequence_file,
                                              capsys):
         gamble = write_json(tmp_path, "g.json",
@@ -672,24 +689,52 @@ class TestAverage:
     ("header", 1, ":1: duplicate symbols in ('A', 'A')"),
     ("alphabet", 2, ":1: alphabet ('A', 'B') differs from the other inputs' ('A', 'B', 'C')"),
     ("model", 2, ": pmf weights sum to 9/10, not 1"),
+    ("gamble-not-an-object", 1, ": expected a JSON object, got list"),
+    ("gamble-without-values", 1, ": missing fields ['values']"),
+    ("values-not-a-list", 1, ": values: expected a list of rational strings"),
+    ("empty-vertices", 1, ": 'vertices' must be a non-empty list"),
+    ("system-without-kind", 1, ": missing 'kind'"),
+    ("empty-cycle", 1, ": cyclic system needs a non-empty model list"),
+    ("entry-without-type", 1, "[0]: missing 'type'"),
+    ("unknown-selection", 1, "[0]: unknown selection kind 'every'"),
 ])
 def test_input_errors_name_the_file(tmp_path, envelope_system_file, all_b_sequence_file,
                                     capsys, bad, code, message):
-    # a bad alphabet breaks the file's format (exit 1); a header that differs
-    # from the other inputs' alphabet and a model's own invariant are model
-    # invariants (exit 2); each names the file (and line) it came from
-    gamble = write_json(tmp_path, "g.json", gamble_to_dict(Gamble.indicator(SPACE, "B")))
-    sequence, system = all_b_sequence_file, envelope_system_file
+    # a bad alphabet or a malformed file breaks the file's format (exit 1); a
+    # header that differs from the other inputs' alphabet and a model's own
+    # invariant are model invariants (exit 2); each names the file (and line or
+    # entry) it came from
+    inputs = {"gamble": write_json(tmp_path, "g.json",
+                                   gamble_to_dict(Gamble.indicator(SPACE, "B"))),
+              "system": envelope_system_file, "sequence": all_b_sequence_file}
+    # each case's input and the JSON it reads
+    files = {
+        "model": ("system", {"kind": "stationary", "models": [
+            dict(ENVELOPE_MODEL, vertices=[["1/2", "1/5", "1/5"]])]}),
+        "gamble-not-an-object": ("gamble", ["1", "0", "0"]),
+        "gamble-without-values": ("gamble", {"alphabet": ["A", "B", "C"]}),
+        "values-not-a-list": ("gamble", {"alphabet": ["A", "B", "C"], "values": "1"}),
+        "empty-vertices": ("system", {"kind": "stationary",
+                                      "models": [dict(ENVELOPE_MODEL, vertices=[])]}),
+        "system-without-kind": ("system", {"models": [ENVELOPE_MODEL]}),
+        "empty-cycle": ("system", {"kind": "cyclic", "models": []}),
+        "entry-without-type": ("battery", [
+            {k: v for k, v in LLN_BATTERY[0].items() if k != "type"}]),
+        "unknown-selection": ("battery", [dict(LLN_BATTERY[0], selection={"kind": "every"})]),
+    }
     if bad in ("header", "alphabet"):
-        sequence = target = str(tmp_path / "bad.txt")
+        role, target = "sequence", str(tmp_path / "bad.txt")
         header = "A A" if bad == "header" else "A B"
         (tmp_path / "bad.txt").write_text(f"# alphabet: {header}\nA\n")
     else:
-        system = target = write_json(tmp_path, "bad_system.json", {
-            "kind": "stationary",
-            "models": [dict(ENVELOPE_MODEL, vertices=[["1/2", "1/5", "1/5"]])]})
-    assert main(["average", "--gamble", gamble, "--system", system,
-                 "--sequence", sequence]) == code
+        role, content = files[bad]
+        target = write_json(tmp_path, f"bad_{role}.json", content)
+    inputs[role] = target
+    command = "analyze" if role == "battery" else "average"
+    roles = ("system", "battery", "sequence") if role == "battery" else (
+        "gamble", "system", "sequence")
+    argv = [command] + [a for r in roles for a in (f"--{r}", inputs[r])]
+    assert main(argv) == code
     assert capsys.readouterr().err == f"error: {target}{message}\n"
 
 

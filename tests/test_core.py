@@ -154,6 +154,8 @@ class TestLinearExpectation:
             linear_expectation(p, f_example)
         assert err.value.left.symbols == ("X", "Y")
         assert err.value.right.symbols == ("A", "B", "C")
+        # a model invariant: the CLI exits 2 on it
+        assert isinstance(err.value, ModelInvariantError)
 
 
 def test_gamble_range(space3, f_example):

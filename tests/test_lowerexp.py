@@ -9,7 +9,6 @@ from imprand import (
     AnchorIntervalModel,
     EnvelopeModel,
     Gamble,
-    IntervalQ,
     LinearModel,
     ProbabilityMassFunction,
     SampleSpace,
@@ -135,19 +134,19 @@ class TestAnchorGamma:
 class TestAnchorInterval:
     def test_identities(self, f_example):
         model = AnchorIntervalModel(
-            anchor=f_example, interval=IntervalQ(Fraction(-1, 2), Fraction(2)))
+            anchor=f_example, lo=Fraction(-1, 2), hi=Fraction(2))
         assert model.lower(f_example) == Fraction(-1, 2)
         assert model.upper(f_example) == Fraction(2)
 
     def test_full_range_equals_vacuous_on_anchor(self, f_example):
         model = AnchorIntervalModel(
-            anchor=f_example, interval=IntervalQ(Fraction(-2), Fraction(3)))
+            anchor=f_example, lo=Fraction(-2), hi=Fraction(3))
         assert model.lower(f_example) == Fraction(-2)
         assert model.upper(f_example) == Fraction(3)
 
     def test_singleton_interval(self, f_example):
         model = AnchorIntervalModel(
-            anchor=f_example, interval=IntervalQ(Fraction(1, 4), Fraction(1, 4)))
+            anchor=f_example, lo=Fraction(1, 4), hi=Fraction(1, 4))
         assert model.lower(f_example) == model.upper(f_example) == Fraction(1, 4)
 
     def test_matches_one_sided_models_and_slab_vertices(self):
@@ -159,7 +158,7 @@ class TestAnchorInterval:
             lo, hi = sorted(low + (high - low) * Fraction(rng.randint(0, 8), 8)
                             for _ in range(2))
             g = rand_gamble(rng, space)
-            exact = AnchorIntervalModel(anchor=anchor, interval=IntervalQ(lo, hi)).lower(g)
+            exact = AnchorIntervalModel(anchor=anchor, lo=lo, hi=hi).lower(g)
             assert exact == max(AnchorGammaModel(anchor=anchor, gamma=lo).lower(g),
                                 AnchorGammaModel(anchor=-anchor, gamma=-hi).lower(g))
             assert exact == slab_vertex_min(anchor, lo, hi, g)
@@ -167,11 +166,11 @@ class TestAnchorInterval:
     def test_interval_outside_range_rejected(self, f_example):
         with pytest.raises(ModelInvariantError):
             AnchorIntervalModel(
-                anchor=f_example, interval=IntervalQ(Fraction(-3), Fraction(0)))
+                anchor=f_example, lo=Fraction(-3), hi=Fraction(0))
 
-    def test_interval_order_checked(self):
-        with pytest.raises(ModelInvariantError):
-            IntervalQ(Fraction(1), Fraction(0))
+    def test_interval_order_checked(self, f_example):
+        with pytest.raises(ModelInvariantError, match="interval lower bound 1 > 0"):
+            AnchorIntervalModel(anchor=f_example, lo=Fraction(1), hi=Fraction(0))
 
 
 class TestConjugacy:
@@ -183,7 +182,7 @@ class TestConjugacy:
             VacuousModel(space3),
             AnchorGammaModel(anchor=f_example, gamma=Fraction(1, 2)),
             AnchorIntervalModel(
-                anchor=f_example, interval=IntervalQ(Fraction(-1), Fraction(2))),
+                anchor=f_example, lo=Fraction(-1), hi=Fraction(2)),
         ]
         for model in models:
             for _ in range(50):
@@ -207,7 +206,7 @@ class TestCoherence:
             VacuousModel(space3),
             AnchorGammaModel(anchor=f_example, gamma=Fraction(-1)),
             AnchorIntervalModel(
-                anchor=f_example, interval=IntervalQ(Fraction(0), Fraction(2))),
+                anchor=f_example, lo=Fraction(0), hi=Fraction(2)),
         ]
         for model in models:
             probes = [rand_gamble(rng, space3) for _ in range(12)]

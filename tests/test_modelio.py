@@ -43,7 +43,6 @@ from imprand.lowerexp import (
     AnchorGammaModel,
     AnchorIntervalModel,
     EnvelopeModel,
-    IntervalQ,
 )
 from imprand.modelio import ParseError
 
@@ -67,8 +66,7 @@ class TestModelJson:
             envelope3,
             VacuousModel(space3),
             AnchorGammaModel(anchor=anchor, gamma=Fraction(3, 4)),
-            AnchorIntervalModel(anchor=anchor,
-                                interval=IntervalQ(Fraction(1, 4), Fraction(2, 3))),
+            AnchorIntervalModel(anchor=anchor, lo=Fraction(1, 4), hi=Fraction(2, 3)),
         ]
         for model in models:
             assert roundtrip_model(model, tmp_path) == model

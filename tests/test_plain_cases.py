@@ -14,7 +14,6 @@ from imprand import (
     CyclicSystem,
     EnvelopeModel,
     Gamble,
-    IntervalQ,
     LinearModel,
     ProbabilityMassFunction,
     SampleSpace,
@@ -37,7 +36,7 @@ def _plain_and_general(rng, space):
         (LinearModel(p), EnvelopeModel((p,)), EnvelopeModel),
         (VacuousModel(space), EnvelopeModel(points), EnvelopeModel),
         (AnchorGammaModel(anchor=anchor, gamma=gamma),
-         AnchorIntervalModel(anchor=anchor, interval=IntervalQ(gamma, anchor.maximum())),
+         AnchorIntervalModel(anchor=anchor, lo=gamma, hi=anchor.maximum()),
          AnchorIntervalModel),
     ]
 
@@ -67,8 +66,8 @@ def test_plain_cases_equal_their_general_forms():
     assert LinearModel(ProbabilityMassFunction.uniform(space)).pmf.weights == (
         Fraction(1, 2), Fraction(1, 2))
     assert AnchorGammaModel(anchor=anchor, gamma="1/4").gamma == Fraction(1, 4)
-    assert AnchorGammaModel(anchor=anchor, gamma="1/4").interval == IntervalQ(
-        Fraction(1, 4), Fraction(1))
+    gamma_model = AnchorGammaModel(anchor=anchor, gamma="1/4")
+    assert (gamma_model.lo, gamma_model.hi) == (Fraction(1, 4), Fraction(1))
 
 
 def _json(obj) -> str:
@@ -90,7 +89,7 @@ def test_every_kind_writes_its_own_file(tmp_path):
         (save_model, EnvelopeModel((p,)), dict(linear, kind="envelope")),
         (save_model, VacuousModel(space), vacuous),
         (save_model, AnchorGammaModel(anchor=anchor, gamma=Fraction(1, 3)), gamma),
-        (save_model, AnchorIntervalModel(anchor=anchor, interval=IntervalQ(-1, "5/2")),
+        (save_model, AnchorIntervalModel(anchor=anchor, lo=-1, hi="5/2"),
          {"alphabet": abc, "kind": "interval_f", "interval": ["-1", "5/2"],
           "anchor": ["1", "-2", "3"]}),
         (save_system, StationarySystem(AnchorGammaModel(anchor=anchor, gamma=Fraction(1, 3))),
