@@ -253,6 +253,9 @@ def _phase_tables(
 
 # floats in the float kernel's block buffer: small enough to stay in cache
 _KERNEL_CELLS = 1 << 14
+# the floor of the kernel's shifted log2 terms: 2^-1000 is a normal float, so
+# exp2 stays on numpy's vector path, and far below half an ulp of a sum >= 1
+_KERNEL_LOG2_FLOOR = -1000.0
 _KERNEL_BUDGET = 1 << 25  # cells in each of the kernel's table and count view
 
 
@@ -278,7 +281,13 @@ def run_battery_fast(
     enter only through those counts.  The product is taken over blocks of
     steps, so memory is O(B * block), not O(B * N); a table or count view of
     more than ``_KERNEL_BUDGET`` cells is refused before either is built.
-    Capital paths are floats; use :func:`run_battery` when exactness is required.
+    Each step's mixture is a log-sum-exp shifted by its largest term, whose
+    share is then exactly 1, so the sum is at least 1.  Shifted terms below
+    ``_KERNEL_LOG2_FLOOR`` are raised to it: each such term stays under
+    2^-1000, far below half an ulp of that sum, so the result is unchanged,
+    and ``exp2`` never underflows nor leaves numpy's vector path, which it
+    does for arguments below -1022.  Capital paths are floats; use
+    :func:`run_battery` when exactness is required.
     """
     strategies = list(strategies)
     if not strategies:
@@ -293,10 +302,13 @@ def run_battery_fast(
             f"symbols and N = {N} steps needs a (B, L*K) table and an (L*K, N+1) "
             f"count view, over the budget of {_KERNEL_BUDGET} cells each"
         )
-    # members placing one bet hold one row tuple, so each distinct row is taken once
+    # members placing one bet hold one row tuple, so each distinct row is numbered
+    # and taken log2 once; the table gathers each member's row numbers, tiled to L
     distinct = {id(row): row for r in rows for row in r}
-    logs = {key: [log2_rational(v) for v in row] for key, row in distinct.items()}
-    tables = np.array([[x for t in range(L) for x in logs[id(r[t % len(r)])]] for r in rows])
+    number = {key: n for n, key in enumerate(distinct)}
+    logs = np.array([[log2_rational(v) for v in row] for row in distinct.values()])
+    index = [[number[id(row)] for row in r] * (L // len(r)) for r in rows]
+    tables = logs[index].reshape(B, L * K)
     counts = prefix.phase_counts(L)
     # the weights 2^-i before their sum 2 - 2^(1-B) divides them out: each
     # log2 is exact, so a step at which every capital is 1 reads exactly 0
@@ -310,6 +322,7 @@ def run_battery_fast(
         cum += log2_weights[:, None]
         peak = cum.max(axis=0)
         cum -= peak
+        np.maximum(cum, _KERNEL_LOG2_FLOOR, out=cum)
         np.exp2(cum, out=cum)
         mixture_log2[a : a + width] = peak + np.log2(cum.sum(axis=0)) - log2_total
     deficiency = float(max(0.0, mixture_log2.max()))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -6,6 +7,7 @@ import tracemalloc
 from fractions import Fraction
 from sys import getswitchinterval, setswitchinterval
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,6 +65,14 @@ def anchor_strategy(space3, anchor_sys):
         f=Gamble.indicator(space3, "A"), direction="lower",
         epsilon=Fraction(1, 8), selection=SelectionProcess.all_ones())
     return lln_strategy(params, anchor_sys)
+
+
+@pytest.fixture
+def period2_prefix(vertices3):
+    """20000 steps alternating between the vertices (0, 1/2, 1/2) and
+    (1/2, 1/2, 0): at the grid points a sweep rejects, some capitals fall
+    thousands of bits below the step's largest."""
+    return generate(GeneratorSpec.cyclic((vertices3[0], vertices3[2]), 20000, seed=1))
 
 
 def capitals(member, prefix):
@@ -625,6 +635,33 @@ class TestFastPath:
             tracemalloc.stop()
         assert peak < 3 * 24 * 20001 * 8
 
+    def test_exp2_gets_no_term_below_the_floor(self, period2_prefix, f_example,
+                                               monkeypatch):
+        # unclamped, the shifted log2 terms of this sweep reach below -4700,
+        # where exp2 underflows and leaves numpy's vector path
+        lowest = []
+        exp2 = np.exp2
+        monkeypatch.setattr(np, "exp2", lambda x, *a, **k: lowest.append(x.min()) or exp2(x, *a, **k))
+        estimate_interval(period2_prefix, f_example, selection_moduli=(1, 2))
+        assert min(lowest) == -1000.0
+        assert analysis._KERNEL_LOG2_FLOOR == -1000.0
+
+    def test_strict_float_error_modes_raise_nothing(self, period2_prefix, f_example):
+        # gamma = 1 is rejected by far: unclamped, exp2 underflowed, and under
+        # np.errstate(all="raise") the kernel raised FloatingPointError
+        sys = StationarySystem(AnchorGammaModel(anchor=f_example, gamma=Fraction(1)))
+        params = battery_for_gambles((f_example,), selection_moduli=(1, 2),
+                                     directions=("lower",))
+        plain = run_battery_fast(period2_prefix, sys, params)
+        plain_estimate = estimate_interval(period2_prefix, f_example, selection_moduli=(1, 2))
+        with np.errstate(all="raise"):
+            strict = run_battery_fast(period2_prefix, sys, params)
+            strict_estimate = estimate_interval(period2_prefix, f_example,
+                                                selection_moduli=(1, 2))
+        assert plain.deficiency_bits > 1000
+        assert strict.mixture_log2.tobytes() == plain.mixture_log2.tobytes()
+        assert strict_estimate == plain_estimate
+
 
 class TestDefaultBattery:
     def test_shape_and_order(self, space3, f_example):
@@ -774,6 +811,16 @@ class TestEstimateInterval:
                                           directions=(side,))
             want = run_battery_fast(seq, StationarySystem(model), battery)
             assert point.raw_bits == want.deficiency_bits
+
+    def test_grid_over_a_long_joint_period_is_pinned(self, space3, f_example):
+        # moduli 1..7: 112 members per side of joint period 420, on 201 steps.
+        # The SHA-256 of each point's gamma and raw deficiency (as float.hex),
+        # recorded from the kernel that built its (B, L*K) table cell by cell
+        est = estimate_interval(SequencePrefix(space3, (0, 1, 2) * 67), f_example,
+                                selection_moduli=tuple(range(1, 8)))
+        points = [(str(p.gamma), p.raw_bits.hex()) for p in est.lower_grid + est.upper_grid]
+        assert hashlib.sha256(repr(points).encode()).hexdigest() == (
+            "308780e5f6c9c82f9928df7db7b5bca3af6d985f755b35353672cee9c7133861")
 
     @pytest.mark.parametrize("moduli, L", [((1, 2), 2), ((1, 2, 3, 4), 12)])
     def test_forecasts_do_not_grow_with_the_battery(self, space3, vertices3, f_example,

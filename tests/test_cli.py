@@ -70,6 +70,11 @@ _CSV_GOLDEN_SHA256 = "43b37f5af2d93ec06fca153df74bbcfe11d46d04efb88cf0c9af513ba5
 # at every phase; sharing one row per distinct bet must not change a byte
 _INTERVAL_GOLDEN_SHA256 = "530f602409b1016718a672780441c570c67cafc7c18f1ff12c479b2e7d9dab4e"
 
+# the same on 20000 steps of the benchmark's interval data, where the float
+# kernel's shifted log2 terms reach below -4700, recorded from the kernel that
+# passed them to exp2 unclamped; raising them to -1000 must not change a byte
+_INTERVAL_20000_GOLDEN_SHA256 = "eec7e7b2e37e97ab3855c5cd22cd691bc0fb9bbe3a9b52380247e31b5ad9455a"
+
 _S = 2 ** 200  # the denominator of the factors next to 2^10.5
 
 
@@ -440,8 +445,8 @@ class TestEstimateInterval:
         assert Fraction(report["lo_accept"]) >= Fraction(3, 4)
         assert report["lower_grid"][0]["accepted"] is True
 
-    def test_json_golden(self, tmp_path):
-        # f = (1, -2, 3) on 2000 steps that alternate between the vertices
+    def _interval_digest(self, tmp_path, length, seed):
+        # f = (1, -2, 3) on steps that alternate between the vertices
         # (0, 1/2, 1/2) and (1/2, 1/2, 0), with the selections of moduli 1 and 2
         gamble = write_json(tmp_path, "f.json",
                             gamble_to_dict(Gamble(SPACE, ("1", "-2", "3"))))
@@ -449,12 +454,19 @@ class TestEstimateInterval:
         even = ProbabilityMassFunction(SPACE, (Fraction(0), half, half))
         odd = ProbabilityMassFunction(SPACE, (half, half, Fraction(0)))
         seq = tmp_path / "cyclic.txt"
-        write_sequence(generate(GeneratorSpec.cyclic((even, odd), 2000, seed=5)), seq)
+        write_sequence(generate(GeneratorSpec.cyclic((even, odd), length, seed=seed)), seq)
         out = tmp_path / "interval.json"
         code = main(["estimate-interval", "--gamble", gamble, "--sequence", str(seq),
                      "--selection-moduli", "1,2", "--out", str(out)])
         assert code == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == _INTERVAL_GOLDEN_SHA256
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    def test_json_golden(self, tmp_path):
+        assert self._interval_digest(tmp_path, 2000, 5) == _INTERVAL_GOLDEN_SHA256
+
+    def test_json_golden_on_20000_steps(self, tmp_path):
+        digest = self._interval_digest(tmp_path, 20000, 1)
+        assert digest == _INTERVAL_20000_GOLDEN_SHA256
 
     def _bad_flag(self, tmp_path, capsys, flag, value):
         gamble = write_json(tmp_path, "g.json",
