@@ -43,7 +43,7 @@ from imprand.forecasting import (
     StationarySystem,
     joint_period,
 )
-from imprand.lowerexp import AnchorGammaModel
+from imprand.lowerexp import AnchorIntervalModel
 from imprand.martingale import (
     LLNStrategyParams,
     MultiplierProcess,
@@ -422,16 +422,16 @@ def estimate_interval(
     """Sweep gamma over a grid in [min f, max f] and accept the values whose
     pinned-forecast model survives a battery that bets on f only.
 
-    The lower side tests "the expectation of f is at least gamma" against
-    the stationary ``AnchorGammaModel(f, gamma)``, the least conservative
-    model making that claim; the upper side tests "at most gamma" with the
-    conjugate ``AnchorGammaModel(-f, -gamma)``.  Deficiencies are monotone
-    along each side's sweep: on the lower side each betting factor
-    1 - xi*(f(x) - gamma) rises with gamma, and on the upper side each factor
-    1 - xi*(gamma - f(x)) rises as gamma falls, so every capital, and with
-    them the mixture and its running max, grows along the sweep.  Acceptance
-    reads a running max of deficiencies, which only absorbs float rounding;
-    raw values are kept in the returned grids.
+    Each side tests a stationary face of the credal set {p : lo <= E_p(f) <= hi},
+    the least conservative model making its claim: "E(f) >= gamma" is
+    ``AnchorIntervalModel(f, gamma, max f)`` and "upper(f) <= gamma" is
+    ``AnchorIntervalModel(f, min f, gamma)``.  Each betting factor is
+    1 - xi*(f(x) - gamma) or 1 - xi*(gamma - f(x)), and rises as the face
+    shrinks along the sweep (gamma rising on the lower side, falling on the
+    upper), so every capital, and with them the mixture and its running max,
+    grows along each sweep.  Acceptance reads a running max of deficiencies,
+    which only absorbs float rounding; raw values are kept in the returned
+    grids.
     """
     grid_step = as_rational(grid_step)
     if grid_step <= 0:
@@ -458,8 +458,6 @@ def estimate_interval(
         battery = battery_for_gambles(
             (f,), selection_moduli=selection_moduli, directions=(side,)
         )
-        # pinning upper(f) = gamma is pinning lower(-f) = -gamma
-        anchor, sign = (f, 1) if side == "lower" else (-f, -1)
         out: List[GridPoint] = []
         worst = 0.0
         for gamma in points:
@@ -467,7 +465,8 @@ def estimate_interval(
                 # repaired deficiency can only grow; remaining points rejected
                 out.append(GridPoint(gamma, math.inf, math.inf, False))
                 continue
-            sys = StationarySystem(AnchorGammaModel(anchor=anchor, gamma=sign * gamma))
+            face = (gamma, hi) if side == "lower" else (lo, gamma)
+            sys = StationarySystem(AnchorIntervalModel(f, *face))
             raw = run_battery_fast(prefix, sys, battery).deficiency_bits
             worst = max(worst, raw)
             out.append(GridPoint(gamma, raw, worst, worst <= threshold_bits))

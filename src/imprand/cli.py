@@ -28,7 +28,7 @@ from imprand.core import (
     format_rational,
     parse_rational,
 )
-from imprand.lowerexp import LinearModel, check_coherence
+from imprand.lowerexp import EnvelopeModel, check_coherence
 from imprand.martingale import (
     LLNStrategyParams,
     SelectionProcess,
@@ -205,9 +205,9 @@ def _pmfs_from_model_file(path) -> List[ProbabilityMassFunction]:
     pmfs = []
     for i, item in enumerate(items):
         model = model_from_dict(item, context=f"{path}[{i}]")
-        if not isinstance(model, LinearModel):
+        if not (isinstance(model, EnvelopeModel) and len(model.vertices) == 1):
             raise ParseError(f"{path}[{i}]: generation needs linear models")
-        pmfs.append(model.pmf)
+        pmfs.append(model.vertices[0])
     return pmfs
 
 

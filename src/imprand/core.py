@@ -249,9 +249,6 @@ class ProbabilityMassFunction:
         k = space.size
         return cls(space, tuple(Fraction(1, k) for _ in space))
 
-    def __getitem__(self, index: int) -> Fraction:
-        return self.weights[index]
-
 
 def linear_expectation(p: ProbabilityMassFunction, f: Gamble) -> Fraction:
     """Exact expectation of a gamble under a probability mass function."""

@@ -9,6 +9,8 @@ a >= 0) and superadditivity (E(f) + E(g) <= E(f+g)).  Two general forms:
 * ``AnchorIntervalModel(anchor, lo, hi)`` -- the least conservative one with
   E(anchor) and upper(anchor) in [lo, hi]: the credal set
   {p : lo <= E_p(anchor) <= hi}, whose minimum is taken over its vertices.
+  Its faces [gamma, max anchor] and [min anchor, gamma] are the least
+  conservative models with E(anchor) >= gamma and upper(anchor) <= gamma.
 
 The plain cases are subclasses of these:
 
@@ -19,7 +21,9 @@ The plain cases are subclasses of these:
 * ``AnchorGammaModel`` -- the slab [gamma, max anchor]: the least
   conservative model with E(anchor) = gamma.
 
-All evaluations are exact rational arithmetic.
+Outside these classes and their file kinds, code reads a model by its general
+form (``vertices``; ``anchor``, ``lo``, ``hi``).  All evaluations are exact
+rational arithmetic.
 """
 
 from __future__ import annotations

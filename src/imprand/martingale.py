@@ -144,8 +144,6 @@ def classify_process(
     supermartingale inequality together with the offending value.
     """
     _check_same_space(F, sys)
-    if depth < 0:
-        raise ModelInvariantError(f"depth must be non-negative, got {depth}")
 
     supermartingale = strict = True
     submartingale = strict_sub = True
@@ -253,7 +251,7 @@ class SelectionProcess:
 
     @classmethod
     def from_table(cls, table, default: int = 0) -> "SelectionProcess":
-        rows = tuple((tuple(k), int(v)) for k, v in dict(table).items())
+        rows = tuple((tuple(k), v) for k, v in dict(table).items())
         return cls(kind="table", table=rows, default=default)
 
     @property

@@ -168,7 +168,7 @@ def model_to_dict(model: LowerExpectation) -> dict:
         out["anchor"] = [format_rational(v) for v in model.anchor.values]
         if isinstance(model, AnchorGammaModel):
             out["kind"] = "gamma_f"
-            out["gamma"] = format_rational(model.gamma)
+            out["gamma"] = format_rational(model.lo)
         else:
             out["kind"] = "interval_f"
             out["interval"] = [format_rational(model.lo), format_rational(model.hi)]

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from sys import getswitchinterval, setswitchinterval
@@ -827,21 +828,22 @@ class TestEstimateInterval:
                                                     monkeypatch, moduli, L):
         # one exact forecast per (phase, gamble, direction), shared by every
         # epsilon and residue class: at most L lower calls per evaluated grid
-        # point (the upper side's upper(f) is -lower(-f))
+        # point (the upper side's upper(f) is -lower(-f)); each side's model
+        # is a face of AnchorIntervalModel, so counting its lower sees them all
         seq = generate(GeneratorSpec.cyclic((vertices3[0], vertices3[2]),
                                             2000, seed=13))
         calls = []
-        lower = AnchorGammaModel.lower
+        lower = AnchorIntervalModel.lower
 
         def counted(model, g):
             calls.append(g)
             return lower(model, g)
 
-        monkeypatch.setattr(AnchorGammaModel, "lower", counted)
+        monkeypatch.setattr(AnchorIntervalModel, "lower", counted)
         est = estimate_interval(seq, f_example, selection_moduli=moduli)
         evaluated = sum(p.raw_bits != math.inf for p in est.lower_grid + est.upper_grid)
         assert evaluated > 0
-        assert len(calls) <= L * evaluated
+        assert 0 < len(calls) <= L * evaluated
 
     def test_crossed_sides_return_a_point_both_accept(self, space3, f_example):
         # iid data with mean of f 3/4: the lower side accepts gamma up to 3/4
@@ -1020,3 +1022,14 @@ def test_space_mismatch_names_left_then_right(space3, vertices3, anchor_sys,
         with pytest.raises(SpaceMismatchError) as err:
             call()
         assert (err.value.left, err.value.right) == (left, right)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda space: battery_for_gambles(()), "battery needs at least one gamble"),
+    (lambda space: run_battery_fast(SequencePrefix(space, (0, 1)),
+                                    StationarySystem(VacuousModel(space)), []),
+     "battery must be non-empty"),
+])
+def test_guards(space3, build, message):
+    with pytest.raises(ModelInvariantError, match=re.escape(message)):
+        build(space3)

@@ -10,8 +10,10 @@ import pytest
 
 from imprand import analysis
 from imprand import (
+    EnvelopeModel,
     Gamble,
     GeneratorSpec,
+    LinearModel,
     ProbabilityMassFunction,
     SampleSpace,
     SequencePrefix,
@@ -19,6 +21,7 @@ from imprand import (
     gamble_to_dict,
     generate,
     model_to_dict,
+    save_model,
     save_system,
     write_sequence,
 )
@@ -591,10 +594,26 @@ class TestGenerate:
         tokens = " ".join(out.read_text().splitlines()[1:]).split()
         assert tokens == ["A"] * 50
 
-    def test_nonlinear_model_rejected(self, tmp_path):
+    def test_nonlinear_model_rejected(self, tmp_path, capsys):
         models = write_json(tmp_path, "m.json", ENVELOPE_MODEL)
         assert main(["generate", "--kind", "iid", "--models", models,
                      "--length", "10", "--out", str(tmp_path / "x.txt")]) == 1
+        assert f"{models}[0]: generation needs linear models" in capsys.readouterr().err
+
+    def test_one_vertex_envelope_generates_as_its_linear_twin(self, tmp_path):
+        # generation reads a model's vertices, not its type: the envelope file
+        # of one vertex draws the same symbols as the linear file of it
+        p = ProbabilityMassFunction(SPACE, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
+        texts = []
+        for name, model in (("linear", LinearModel(p)), ("envelope", EnvelopeModel((p,)))):
+            models = tmp_path / f"{name}.json"
+            save_model(model, models)
+            assert json.loads(models.read_text())["kind"] == name
+            out = tmp_path / f"{name}.txt"
+            assert main(["generate", "--kind", "iid", "--models", str(models),
+                         "--length", "200", "--seed", "5", "--out", str(out)]) == 0
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
 
 
 class TestVerify:
@@ -646,6 +665,16 @@ class TestVerify:
 
     def test_needs_some_target(self):
         assert main(["verify"]) == 1
+
+    def test_negative_depth_exits_two(self, tmp_path, envelope_system_file,
+                                      all_b_sequence_file, capsys):
+        battery = write_json(tmp_path, "battery.json", LLN_BATTERY)
+        common = ["--system", envelope_system_file, "--battery", battery]
+        for argv in (["verify", *common, "--depth", "-1"],
+                     ["analyze", *common, "--sequence", all_b_sequence_file,
+                      "--audit-depth", "-1"]):
+            assert main(argv) == 2
+            assert "depth must be non-negative, got -1" in capsys.readouterr().err
 
 
 class TestAverage:

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -189,3 +190,13 @@ def test_public_names_resolve_once_sorted():
     assert all(hasattr(imprand, name) for name in names)
     assert len(set(names)) == len(names)
     assert names == sorted(names)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: SampleSpace(("A", "\x07")), "symbol '\\x07' is not a printable token"),
+    (lambda: ProbabilityMassFunction(SampleSpace(("A", "B", "C")), (1, 0)),
+     "pmf has 2 weights for a 3-symbol space"),
+])
+def test_constructor_guards(build, message):
+    with pytest.raises(ModelInvariantError, match=re.escape(message)):
+        build()

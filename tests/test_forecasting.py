@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -169,3 +170,12 @@ def test_period_by_system_kind(space3, envelope3, vertices3):
     assert CyclicSystem((envelope3,)).period == 1
     assert TableSystem(table={}, default=envelope3).period is None
     assert ProgrammaticSystem(space3, lambda s: envelope3).period is None
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda space: next(iter_situations(space, -1)), "depth must be non-negative, got -1"),
+    (lambda space: CyclicSystem(()), "cyclic system needs at least one model"),
+])
+def test_guards(space3, build, message):
+    with pytest.raises(ModelInvariantError, match=re.escape(message)):
+        build(space3)

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from imprand import (
     LLNStrategyParams,
     LinearModel,
     MultiplierProcess,
+    ProgrammaticSystem,
     RationalProcess,
     SampleSpace,
     SelectionProcess,
@@ -29,7 +31,7 @@ from imprand import (
 )
 from imprand.core import ModelInvariantError
 from imprand.forecasting import iter_situations
-from imprand.lowerexp import AnchorGammaModel
+from imprand.lowerexp import AnchorGammaModel, LowerExpectation
 from imprand.martingale import _over_common_denominator, mixture_weights
 
 from conftest import rand_pmf, rand_space, rand_supermartingale_multiplier
@@ -164,6 +166,14 @@ class TestSelection:
         assert a != SelectionProcess(kind="table", table=table[:1])
         with pytest.raises(ModelInvariantError):
             SelectionProcess(kind="table", table=(((0,), 1), ((1,), 2)))
+
+    def test_table_values_are_checked_not_truncated(self, space3):
+        # from_table hands its values to the constructor, which rejects what
+        # is not 0 or 1 instead of storing int(1.7) = 1 and int(0.4) = 0
+        with pytest.raises(ModelInvariantError, match="selection values must be 0 or 1"):
+            SelectionProcess.from_table({(0,): 1.7, (1,): 0.4})
+        sel = SelectionProcess.from_table({(0,): 1, (1,): 0}, default=1)
+        assert [sel.selects(Situation(space3, p)) for p in ((0,), (1,), (2,))] == [1, 0, 1]
 
     def test_period_by_kind(self):
         assert SelectionProcess.all_ones().period == 1
@@ -472,3 +482,37 @@ def test_path_values_agree_cold_walked_and_swept(rows, symbols, k):
     tail = depths[min(3, len(symbols)):]
     assert [(M.value(s.situation(d)), capped.value(s.situation(d))) for d in tail] == \
         reference[tail.start:]
+
+
+class _BelowItsMinimum(LowerExpectation):
+    """Incoherent: lower(g) = min g - 100, so a lower-direction increment
+    f - lower(f) is at least 100 and the stake cannot keep a factor positive."""
+
+    def __init__(self, space):
+        self.space = space
+
+    def lower(self, g):
+        return g.minimum() - 100
+
+
+def _bet_against_an_incoherent_model(space):
+    params = LLNStrategyParams(f=Gamble.indicator(space, "A"), direction="lower",
+                               epsilon=Fraction(1, 2), selection=SelectionProcess.all_ones())
+    sys = ProgrammaticSystem(space, lambda s: _BelowItsMinimum(space))
+    return lln_strategy(params, sys).factor(Situation.root(space))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda space: SelectionProcess(kind="prefix"), "unknown selection kind 'prefix'"),
+    (lambda space: SelectionProcess(kind="table", default=2), "selection values must be 0 or 1"),
+    (_bet_against_an_incoherent_model, "betting factor not positive at (): min -97/4"),
+    (lambda space: rationalize(ApproxProcess(space, net=lambda s, n: Fraction(-7),
+                                             modulus=lambda s, N: Fraction(0))),
+     "root approximation -7 violates the non-negativity contract"),
+    (lambda space: cap_process(RationalProcess.constant(space, 1), -1),
+     "cap exponent must be non-negative, got -1"),
+    (lambda space: mixture_weights(0), "weight count must be positive"),
+])
+def test_guards(space3, build, message):
+    with pytest.raises(ModelInvariantError, match=re.escape(message)):
+        build(space3)

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from imprand import (
     LLNStrategyParams,
     LinearModel,
     MultiplierProcess,
+    ProgrammaticSystem,
     SampleSpace,
     SelectionProcess,
     SequencePrefix,
@@ -43,6 +45,7 @@ from imprand.lowerexp import (
     AnchorGammaModel,
     AnchorIntervalModel,
     EnvelopeModel,
+    LowerExpectation,
 )
 from imprand.modelio import ParseError
 
@@ -555,3 +558,24 @@ def test_csv_capitals_are_the_fraction_products(tmp_path_factory, data, steps, m
             capitals = [c * f[n - 1] for c, f in zip(capitals, factors)]
         expected.extend((c.numerator, c.denominator) for c in capitals)
     assert rows == expected
+
+
+class _MinimumModel(LowerExpectation):
+    """A coherent model of a type that no file kind names."""
+
+    def __init__(self, space):
+        self.space = space
+
+    def lower(self, g):
+        return g.minimum()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda space: model_to_dict(_MinimumModel(space)),
+     "cannot serialize model type _MinimumModel"),
+    (lambda space: system_to_dict(ProgrammaticSystem(space, lambda s: VacuousModel(space))),
+     "cannot serialize system type ProgrammaticSystem"),
+])
+def test_writer_guards(space3, build, message):
+    with pytest.raises(ModelInvariantError, match=re.escape(message)):
+        build(space3)
