@@ -12,9 +12,10 @@ arithmetic over explicit multiplier processes.  ``run_battery_fast`` handles
 systems and selections with a ``period``: every betting factor then depends
 only on depth modulo a small period L, so both paths keep each member's exact
 factors once per phase in one table, ``Trajectory.factors``, read by one rule.
-The float path builds each distinct bet's row once and shares it between the
-members that place it, and its log2 capitals are the rows' log2s times the
-prefix's cumulative (phase, symbol) counts, in blocks of steps.
+The float path lays out which bet each member places at each phase once per
+battery and system period, builds each distinct bet's row once and shares it
+between the members that place it, and its log2 capitals are the rows' log2s
+times the prefix's cumulative (phase, symbol) counts, in blocks of steps.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, partial
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -212,43 +214,103 @@ def default_battery(
     return battery_for_gambles([*indicators, *user_gambles], selection_moduli)
 
 
-def _phase_tables(
-    sys: ForecastingSystem, strategies: Sequence[LLNStrategyParams]
-) -> Tuple[Tuple[Tuple[Fraction, ...], ...], ...]:
-    """Each strategy's exact factors once per phase of its own period, in
-    ``Trajectory.factors``' format.  Each distinct bet (system phase, gamble,
-    direction, epsilon; an unselected phase bets nothing) gets one row, built by
-    :meth:`LLNStrategyParams.betting_factor` and shared by every member placing
-    it; each exact forecast is taken once per (system phase, gamble, direction)."""
-    periods = [joint_period(sys.period, p.selection.period) for p in strategies]
-    if None in periods:
-        raise ModelInvariantError(
-            "fast battery evaluation needs a system and selections with a period"
-        )
-    # any path reaches each phase: the factors depend on the depth alone, and
-    # no row reads past its member's own period
-    phases = [Situation._trusted(sys.space, (0,) * t) for t in range(max(periods, default=0))]
+class _Layout:
+    """The part of the float kernel that no forecast enters, for one system
+    period: ``phases`` are the situations at the depths below the longest
+    member period (any path reaches each phase: the factors depend on the depth
+    alone), ``bets[b]`` is the (depth, member) that first places bet b, and
+    ``members[i]`` numbers member i's bet at each phase of its own period."""
+
+    def __init__(self, phases, bets, members):
+        self.phases, self.bets, self.members = phases, bets, members
+        self.L = joint_period(*map(len, members))
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """The (B, L) bet numbers of the members at the L joint phases, by
+        ``Trajectory.factors``' rule; built at the first kernel call that fits
+        the budget."""
+        return np.array([bets * (self.L // len(bets)) for bets in self.members])
+
+
+class _CompiledBattery(tuple):
+    """A non-empty battery of LLN strategies on one sample space, compiled
+    for the float kernel: it keeps the log2 mixture weights and the
+    :class:`_Layout` of each system period it is asked for, so a kernel call
+    against a laid-out period builds only its forecasts, its bets' exact rows
+    and their log2s."""
+
+    def __new__(cls, strategies):
+        battery = super().__new__(cls, strategies)
+        if not battery:
+            raise ModelInvariantError("battery must be non-empty")
+        for p in battery[1:]:
+            _check_same_space(battery[0].f, p.f)
+        # the weights 2^-i before their sum 2 - 2^(1-B) divides them out: each
+        # log2 is exact, so a step at which every capital is 1 reads exactly 0
+        battery.log2_weights = -np.arange(len(battery), dtype=float)[:, None]
+        battery.log2_total = math.log2(2 - 2.0 ** (1 - len(battery)))
+        battery.layouts = {}
+        return battery
+
+    @classmethod
+    def of(cls, strategies: Sequence[LLNStrategyParams]) -> "_CompiledBattery":
+        return strategies if isinstance(strategies, cls) else cls(strategies)
+
+    def layout(self, period: Optional[int]) -> _Layout:
+        if period in self.layouts:
+            return self.layouts[period]
+        periods = [joint_period(period, p.selection.period) for p in self]
+        if None in periods:
+            raise ModelInvariantError(
+                "fast battery evaluation needs a system and selections with a period"
+            )
+        phases = [Situation._trusted(self[0].f.space, (0,) * t) for t in range(max(periods))]
+        stakes: dict = {}  # (gamble, direction, epsilon) -> its number: one hash per member
+        numbers: dict = {}  # (system phase, stake number) or None (unselected) -> bet number
+        bets, members = [], []
+        for p, own in zip(self, periods):
+            stake = stakes.setdefault((p.f, p.direction, p.epsilon), len(stakes))
+            placed = []
+            for t in range(own):
+                bet = (t % period, stake) if p.selection.selects(phases[t]) else None
+                if bet not in numbers:
+                    numbers[bet] = len(bets)
+                    bets.append((t, p))
+                placed.append(numbers[bet])
+            members.append(tuple(placed))
+        self.layouts[period] = _Layout(phases, bets, members)
+        return self.layouts[period]
+
+
+def _bet_rows(
+    battery: _CompiledBattery, sys: ForecastingSystem
+) -> Tuple[_Layout, List[Tuple[Fraction, ...]]]:
+    """The battery's layout for sys's period and each of its bets' exact row
+    against sys (an unselected phase bets nothing), built by
+    :meth:`LLNStrategyParams.betting_factor`; each exact forecast is taken
+    once per (system phase, gamble, direction)."""
+    layout = battery.layout(sys.period)
     increments: dict = {}  # (system phase, gamble, direction) -> exact increment
-    stakes: dict = {}  # (gamble, direction, epsilon) -> its number: one hash per member
-    rows: dict = {}  # (system phase, stake number) or None (unselected) -> row
 
     def increment(t: int, p: LLNStrategyParams) -> Gamble:
         key = (t % sys.period, p.f, p.direction)
         if key not in increments:
-            increments[key] = p.increment(sys.forecast(phases[key[0]]))
+            increments[key] = p.increment(sys.forecast(layout.phases[key[0]]))
         return increments[key]
 
-    def row(t: int, p: LLNStrategyParams, stake: int) -> Tuple[Fraction, ...]:
-        bet = (t % sys.period, stake) if p.selection.selects(phases[t]) else None
-        if bet not in rows:
-            rows[bet] = p.betting_factor(phases[t], lambda: increment(t, p)).values
-        return rows[bet]
+    return layout, [p.betting_factor(layout.phases[t], partial(increment, t, p)).values
+                    for t, p in layout.bets]
 
-    tables = []
-    for p, period in zip(strategies, periods):
-        stake = stakes.setdefault((p.f, p.direction, p.epsilon), len(stakes))
-        tables.append(tuple(row(t, p, stake) for t in range(period)))
-    return tuple(tables)
+
+def _phase_tables(
+    sys: ForecastingSystem, strategies: Sequence[LLNStrategyParams]
+) -> Tuple[Tuple[Tuple[Fraction, ...], ...], ...]:
+    """Each strategy's exact factors once per phase of its own period, in
+    ``Trajectory.factors``' format: the rows of :func:`_bet_rows` as the
+    layout numbers them, so every member placing one bet holds its one row."""
+    layout, rows = _bet_rows(_CompiledBattery.of(strategies), sys)
+    return tuple(tuple(rows[b] for b in bets) for bets in layout.members)
 
 
 # floats in the float kernel's block buffer: small enough to stay in cache
@@ -276,11 +338,15 @@ def run_battery_fast(
 
     Restricted to systems and selections with a ``period`` L.  The log2
     capitals of all strategies are one product: the log2s of their exact
-    factors (:func:`_phase_tables`) at the L phases by ``Trajectory.factors``'
-    rule, times the prefix's cumulative (phase, symbol) counts, so the data
-    enter only through those counts.  The product is taken over blocks of
-    steps, so memory is O(B * block), not O(B * N); a table or count view of
-    more than ``_KERNEL_BUDGET`` cells is refused before either is built.
+    factors at the L phases by ``Trajectory.factors``' rule (the rows of
+    :func:`_phase_tables`), times the prefix's float cumulative (phase, symbol)
+    counts, so the data enter only through those counts.  The strategies are
+    compiled into a :class:`_CompiledBattery` unless they are one already, and
+    a compiled battery keeps the layout of each system period it meets, so a
+    call with one builds only its forecasts, bet rows and their log2s.  The
+    product is taken over blocks of steps, so memory is O(B * block), not
+    O(B * N); a table or count view of more than ``_KERNEL_BUDGET`` cells is
+    refused before either is built.
     Each step's mixture is a log-sum-exp shifted by its largest term, whose
     share is then exactly 1, so the sum is at least 1.  Shifted terms below
     ``_KERNEL_LOG2_FLOOR`` are raised to it: each such term stays under
@@ -289,42 +355,33 @@ def run_battery_fast(
     does for arguments below -1022.  Capital paths are floats; use
     :func:`run_battery` when exactness is required.
     """
-    strategies = list(strategies)
-    if not strategies:
-        raise ModelInvariantError("battery must be non-empty")
-    for part in (sys, *(p.f for p in strategies)):
-        _check_same_space(prefix, part)
-    rows = _phase_tables(sys, strategies)
-    B, L, K, N = len(strategies), joint_period(*map(len, rows)), prefix.space.size, len(prefix)
+    battery = _CompiledBattery.of(strategies)
+    _check_same_space(prefix, sys)
+    _check_same_space(prefix, battery[0].f)
+    layout, rows = _bet_rows(battery, sys)
+    B, L, K, N = len(battery), layout.L, prefix.space.size, len(prefix)
     if max(B, N + 1) * L * K > _KERNEL_BUDGET:  # before either is built
         raise ModelInvariantError(
             f"float kernel with B = {B} strategies, joint period L = {L}, K = {K} "
             f"symbols and N = {N} steps needs a (B, L*K) table and an (L*K, N+1) "
             f"count view, over the budget of {_KERNEL_BUDGET} cells each"
         )
-    # members placing one bet hold one row tuple, so each distinct row is numbered
-    # and taken log2 once; the table gathers each member's row numbers, tiled to L
-    distinct = {id(row): row for r in rows for row in r}
-    number = {key: n for n, key in enumerate(distinct)}
-    logs = np.array([[log2_rational(v) for v in row] for row in distinct.values()])
-    index = [[number[id(row)] for row in r] * (L // len(r)) for r in rows]
-    tables = logs[index].reshape(B, L * K)
+    # each bet's row is taken log2 once; the table gathers the members' bets
+    logs = np.array([[log2_rational(v) for v in row] for row in rows])
+    tables = logs[layout.index].reshape(B, L * K)
     counts = prefix.phase_counts(L)
-    # the weights 2^-i before their sum 2 - 2^(1-B) divides them out: each
-    # log2 is exact, so a step at which every capital is 1 reads exactly 0
-    log2_weights, log2_total = -np.arange(B, dtype=float), math.log2(2 - 2.0 ** (1 - B))
     mixture_log2 = np.empty(N + 1)
     # the mixture at a step reads only that step's column, so the steps go in
     # blocks; one (B, width) buffer holds log2 capitals, then the weighted terms
     width = max(1, _KERNEL_CELLS // B)
     for a in range(0, N + 1, width):
         cum = tables @ counts[:, a : a + width]
-        cum += log2_weights[:, None]
+        cum += battery.log2_weights
         peak = cum.max(axis=0)
         cum -= peak
         np.maximum(cum, _KERNEL_LOG2_FLOOR, out=cum)
         np.exp2(cum, out=cum)
-        mixture_log2[a : a + width] = peak + np.log2(cum.sum(axis=0)) - log2_total
+        mixture_log2[a : a + width] = peak + np.log2(cum.sum(axis=0)) - battery.log2_total
     deficiency = float(max(0.0, mixture_log2.max()))
     return FastBatteryResult(deficiency_bits=deficiency, mixture_log2=mixture_log2)
 
@@ -431,7 +488,8 @@ def estimate_interval(
     upper), so every capital, and with them the mixture and its running max,
     grows along each sweep.  Acceptance reads a running max of deficiencies,
     which only absorbs float rounding; raw values are kept in the returned
-    grids.
+    grids.  Each side's battery is compiled once (:class:`_CompiledBattery`),
+    so a gamma probe builds only its own forecast, bet rows and their log2s.
     """
     grid_step = as_rational(grid_step)
     if grid_step <= 0:
@@ -455,9 +513,9 @@ def estimate_interval(
         # the opposite direction is unfalsifiable under a pinned model (its
         # forecast sits at the gamble's extreme), so betting it would only
         # dilute the mixture weights
-        battery = battery_for_gambles(
+        battery = _CompiledBattery(battery_for_gambles(
             (f,), selection_moduli=selection_moduli, directions=(side,)
-        )
+        ))
         out: List[GridPoint] = []
         worst = 0.0
         for gamma in points:

@@ -92,10 +92,17 @@ def _alphabet(tokens, where: str) -> SampleSpace:
 
 
 def _indices(space: SampleSpace, tokens, where: str) -> Tuple[int, ...]:
+    """Each token's index, read from one dict per call; the first unknown
+    token is named as :meth:`SampleSpace.index_of` names it."""
+    index = {t: i for i, t in enumerate(space.symbols)}
     try:
-        return tuple(space.index_of(t) for t in tokens)
-    except ModelInvariantError as exc:
-        raise ParseError(f"{where}: {exc}") from None
+        return tuple(map(index.__getitem__, tokens))
+    except KeyError as unknown:
+        try:
+            space.index_of(unknown.args[0])
+        except ModelInvariantError as exc:
+            raise ParseError(f"{where}: {exc}") from None
+        raise
 
 
 def _space_from(obj: dict, context: str) -> SampleSpace:

@@ -34,16 +34,17 @@ class SequencePrefix(Situation):
 
     def phase_counts(self, period: int) -> np.ndarray:
         """Cumulative (phase, symbol) counts, a read-only (period*K, N+1)
-        array of the smallest unsigned integer type that holds N: entry
-        [t*K + x, n] counts the steps j < n with j = t mod period and outcome
-        x.  Built once per period; only the last period asked for is kept."""
+        float64 array, exact below 2^53 and read by the float kernel without a
+        cast: entry [t*K + x, n] counts the steps j < n with j = t mod period
+        and outcome x.  Built once per period; only the last period asked for
+        is kept."""
         kept = self.__dict__.get("_phase_counts")
         if kept is None or kept[0] != period:
             n, K = len(self), self.space.size
             steps = np.arange(n)
-            counts = np.zeros((period * K, n + 1), dtype=np.min_scalar_type(n))
+            counts = np.zeros((period * K, n + 1))
             counts[steps % period * K + np.array(self.symbols, dtype=np.int64), steps + 1] = 1
-            np.cumsum(counts, axis=1, dtype=counts.dtype, out=counts)
+            np.cumsum(counts, axis=1, out=counts)
             counts.flags.writeable = False
             kept = (period, counts)
             object.__setattr__(self, "_phase_counts", kept)

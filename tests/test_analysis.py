@@ -504,9 +504,17 @@ class TestFastPath:
         assert rows == walk.factors
         assert sorted({len(r) for r in rows}) == [2, 6]
         assert all(type(v) is Fraction for r in rows for row in r for v in row)
-        # the float kernel run on the walk's own rows gives the same path, bit for bit
+        # the float kernel run on the walk's own rows, every (member, phase) its own
+        # bet and gathered at joint phase t by Trajectory.factors' rule, gives the
+        # same path, bit for bit
         fast = run_battery_fast(prefix, sys, params)
-        monkeypatch.setattr(analysis, "_phase_tables", lambda *_: walk.factors)
+        own = [row for r in walk.factors for row in r]
+        first = np.cumsum([0] + [len(r) for r in walk.factors[:-1]]).tolist()
+        layout = analysis._Layout((), (), [tuple(range(a, a + len(r)))
+                                           for a, r in zip(first, walk.factors)])
+        layout.index = np.array([[a + t % len(r) for t in range(6)]
+                                 for a, r in zip(first, walk.factors)])
+        monkeypatch.setattr(analysis, "_bet_rows", lambda *_: (layout, own))
         again = run_battery_fast(prefix, sys, params)
         assert again.mixture_log2.tobytes() == fast.mixture_log2.tobytes()
 
@@ -544,14 +552,42 @@ class TestFastPath:
         prefix = SequencePrefix(space3, (0, 1, 2) * 20)
         expected = run_battery_fast(prefix, sys, params).mixture_log2
         assert sum(map(len, _phase_tables(sys, params))) == 20
-        built, logs = [], []
-        build, log2 = LLNStrategyParams.betting_factor, analysis.log2_rational
+        # the next grid point, on the side's compiled battery, laid out by the first
+        other = StationarySystem(AnchorGammaModel(anchor=f_example, gamma=Fraction(5, 16)))
+        expected_other = run_battery_fast(prefix, other, params).mixture_log2
+        compiled = analysis._CompiledBattery(params)
+        run_battery_fast(prefix, sys, compiled)
+        built, logs, laid = [], [], []
+        build, log2, Layout = (LLNStrategyParams.betting_factor, analysis.log2_rational,
+                               analysis._Layout)
         monkeypatch.setattr(LLNStrategyParams, "betting_factor",
                             lambda p, *a: built.append(p) or build(p, *a))
         monkeypatch.setattr(analysis, "log2_rational", lambda v: logs.append(v) or log2(v))
+        monkeypatch.setattr(analysis, "_Layout", lambda *a: laid.append(a) or Layout(*a))
         fast = run_battery_fast(prefix, sys, params)
-        assert (len(built), len(logs)) == (5, 15)
+        assert (len(built), len(logs), len(laid)) == (5, 15, 1)
         assert fast.mixture_log2.tobytes() == expected.tobytes()
+        # a second probe builds its own 5 rows and 15 log2s, and no layout
+        del built[:], logs[:], laid[:]
+        again = run_battery_fast(prefix, other, compiled)
+        assert (len(built), len(logs), len(laid)) == (5, 15, 0)
+        assert again.mixture_log2.tobytes() == expected_other.tobytes()
+
+    def test_a_compiled_battery_keeps_one_layout_per_system_period(self, space3, envelope3,
+                                                                  anchor_sys, f_example):
+        # stake, selection and bet numbers all depend on the system period: a
+        # battery that kept one layout for both systems would place period-1 bets
+        # against the period-2 system
+        params = battery_for_gambles((Gamble.indicator(space3, "A"), f_example),
+                                     selection_moduli=(1, 2, 3))
+        compiled = analysis._CompiledBattery(params)
+        prefix = generate(GeneratorSpec.cyclic(envelope3.vertices, 300, seed=4))
+        period2 = CyclicSystem((envelope3, anchor_sys.model))
+        for sys in (anchor_sys, period2, anchor_sys):
+            got = run_battery_fast(prefix, sys, compiled)
+            want = run_battery_fast(prefix, sys, list(params))
+            assert got.mixture_log2.tobytes() == want.mixture_log2.tobytes()
+        assert sorted(compiled.layouts) == [1, 2]
 
     def test_phases_reach_only_the_longest_member_period(self, space3, anchor_sys, f_example,
                                                           monkeypatch):
@@ -860,6 +896,17 @@ class TestEstimateInterval:
         for end in (est.lo_accept, est.hi_accept):
             for grid in (est.lower_grid, est.upper_grid):
                 assert [q.accepted for q in grid if q.gamma == end] == [True]
+
+    def test_each_side_lays_out_its_battery_once(self, period2_prefix, f_example,
+                                                 monkeypatch):
+        # the layouts built, each named by the direction of the bets it places
+        laid, Layout = [], analysis._Layout
+        monkeypatch.setattr(analysis, "_Layout", lambda phases, bets, members: laid.append(
+            {p.direction for _, p in bets}) or Layout(phases, bets, members))
+        est = estimate_interval(period2_prefix, f_example, selection_moduli=(1, 2))
+        for grid in (est.lower_grid, est.upper_grid):
+            assert sum(p.raw_bits != math.inf for p in grid) > 1
+        assert laid == [{"lower"}, {"upper"}]
 
     def test_grid_validation(self, space3):
         prefix = SequencePrefix(space3, (0,) * 10)

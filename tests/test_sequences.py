@@ -51,6 +51,7 @@ class TestPrefix:
         for period in (3, 2, 2):
             counts = p.phase_counts(period)
             assert counts.shape == (period * 3, length + 1)
+            assert counts.dtype == np.float64
             assert not counts.flags.writeable
             for n in range(length + 1):
                 naive = collections.Counter(
