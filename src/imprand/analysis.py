@@ -12,10 +12,11 @@ arithmetic over explicit multiplier processes.  ``run_battery_fast`` handles
 systems and selections with a ``period``: every betting factor then depends
 only on depth modulo a small period L, so both paths keep each member's exact
 factors once per phase in one table, ``Trajectory.factors``, read by one rule.
-The float path lays out which bet each member places at each phase once per
-battery and system period, builds each distinct bet's row once and shares it
-between the members that place it, and its log2 capitals are the rows' log2s
-times the prefix's cumulative (phase, symbol) counts, in blocks of steps.
+The float path compiles a battery once for one system period, numbering
+the bet each member places at each phase; it builds each distinct bet's row
+once and shares it between the members that place it, and its log2 capitals
+are the rows' log2s times the prefix's cumulative (phase, symbol) counts, in
+blocks of steps.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from imprand.martingale import (
     MultiplierProcess,
     SelectionProcess,
     _column_rule,
+    _lln_bound,
     _over_common_denominator,
     mixture_weights,
 )
@@ -188,7 +190,7 @@ def battery_for_gambles(
         selections.extend(SelectionProcess.residue_class(m, i) for i in range(m))
     battery = []
     for g in gambles:
-        bound = max(Fraction(1), g.spread())
+        bound = _lln_bound(g)
         for direction in directions:
             for factor in _EPSILON_FACTORS:
                 for sel in selections:
@@ -214,62 +216,32 @@ def default_battery(
     return battery_for_gambles([*indicators, *user_gambles], selection_moduli)
 
 
-class _Layout:
-    """The part of the float kernel that no forecast enters, for one system
-    period: ``phases`` are the situations at the depths below the longest
-    member period (any path reaches each phase: the factors depend on the depth
-    alone), ``bets[b]`` is the (depth, member) that first places bet b, and
-    ``members[i]`` numbers member i's bet at each phase of its own period."""
-
-    def __init__(self, phases, bets, members):
-        self.phases, self.bets, self.members = phases, bets, members
-        self.L = joint_period(*map(len, members))
-
-    @cached_property
-    def index(self) -> np.ndarray:
-        """The (B, L) bet numbers of the members at the L joint phases, by
-        ``Trajectory.factors``' rule; built at the first kernel call that fits
-        the budget."""
-        return np.array([bets * (self.L // len(bets)) for bets in self.members])
-
-
 class _CompiledBattery(tuple):
-    """A non-empty battery of LLN strategies on one sample space, compiled
-    for the float kernel: it keeps the log2 mixture weights and the
-    :class:`_Layout` of each system period it is asked for, so a kernel call
-    against a laid-out period builds only its forecasts, its bets' exact rows
-    and their log2s."""
+    """A non-empty battery of LLN strategies on one sample space, compiled for
+    the float kernel against systems of one ``period``: ``phases`` are the
+    situations at the depths below the longest member period (any path reaches
+    each phase: the factors depend on the depth alone), ``bets[b]`` is the
+    (depth, member) that first places bet b, ``members[i]`` numbers member i's
+    bet at each phase of its own period, and ``L`` is their joint period.  A
+    kernel call builds only its forecasts, its bets' :meth:`rows` and their log2s."""
 
-    def __new__(cls, strategies):
+    def __new__(cls, strategies, period: Optional[int]):
         battery = super().__new__(cls, strategies)
         if not battery:
             raise ModelInvariantError("battery must be non-empty")
         for p in battery[1:]:
             _check_same_space(battery[0].f, p.f)
-        # the weights 2^-i before their sum 2 - 2^(1-B) divides them out: each
-        # log2 is exact, so a step at which every capital is 1 reads exactly 0
-        battery.log2_weights = -np.arange(len(battery), dtype=float)[:, None]
-        battery.log2_total = math.log2(2 - 2.0 ** (1 - len(battery)))
-        battery.layouts = {}
-        return battery
-
-    @classmethod
-    def of(cls, strategies: Sequence[LLNStrategyParams]) -> "_CompiledBattery":
-        return strategies if isinstance(strategies, cls) else cls(strategies)
-
-    def layout(self, period: Optional[int]) -> _Layout:
-        if period in self.layouts:
-            return self.layouts[period]
-        periods = [joint_period(period, p.selection.period) for p in self]
+        periods = [joint_period(period, p.selection.period) for p in battery]
         if None in periods:
             raise ModelInvariantError(
                 "fast battery evaluation needs a system and selections with a period"
             )
-        phases = [Situation._trusted(self[0].f.space, (0,) * t) for t in range(max(periods))]
+        space = battery[0].f.space
+        phases = [Situation._trusted(space, (0,) * t) for t in range(max(periods))]
         stakes: dict = {}  # (gamble, direction, epsilon) -> its number: one hash per member
         numbers: dict = {}  # (system phase, stake number) or None (unselected) -> bet number
         bets, members = [], []
-        for p, own in zip(self, periods):
+        for p, own in zip(battery, periods):
             stake = stakes.setdefault((p.f, p.direction, p.epsilon), len(stakes))
             placed = []
             for t in range(own):
@@ -279,38 +251,33 @@ class _CompiledBattery(tuple):
                     bets.append((t, p))
                 placed.append(numbers[bet])
             members.append(tuple(placed))
-        self.layouts[period] = _Layout(phases, bets, members)
-        return self.layouts[period]
+        battery.period, battery.phases, battery.bets = period, phases, bets
+        battery.members, battery.L = members, joint_period(*periods)
+        # the weights 2^-i before their sum 2 - 2^(1-B) divides them out: each
+        # log2 is exact, so a step at which every capital is 1 reads exactly 0
+        battery.log2_weights = -np.arange(len(battery), dtype=float)[:, None]
+        battery.log2_total = math.log2(2 - 2.0 ** (1 - len(battery)))
+        return battery
 
+    @cached_property
+    def index(self) -> np.ndarray:
+        """The (B, L) bet numbers of the members at the L joint phases, by
+        ``Trajectory.factors``' rule, built once a kernel call fits the budget."""
+        return np.array([bets * (self.L // len(bets)) for bets in self.members])
 
-def _bet_rows(
-    battery: _CompiledBattery, sys: ForecastingSystem
-) -> Tuple[_Layout, List[Tuple[Fraction, ...]]]:
-    """The battery's layout for sys's period and each of its bets' exact row
-    against sys (an unselected phase bets nothing), built by
-    :meth:`LLNStrategyParams.betting_factor`; each exact forecast is taken
-    once per (system phase, gamble, direction)."""
-    layout = battery.layout(sys.period)
-    increments: dict = {}  # (system phase, gamble, direction) -> exact increment
+    def rows(self, sys: ForecastingSystem) -> List[Tuple[Fraction, ...]]:
+        """Each bet's exact row against sys, a system of the compiled period, by
+        ``betting_factor``; one forecast per (system phase, gamble, direction)."""
+        increments: dict = {}  # (system phase, gamble, direction) -> exact increment
 
-    def increment(t: int, p: LLNStrategyParams) -> Gamble:
-        key = (t % sys.period, p.f, p.direction)
-        if key not in increments:
-            increments[key] = p.increment(sys.forecast(layout.phases[key[0]]))
-        return increments[key]
+        def increment(t: int, p: LLNStrategyParams) -> Gamble:
+            key = (t % self.period, p.f, p.direction)
+            if key not in increments:
+                increments[key] = p.increment(sys.forecast(self.phases[key[0]]))
+            return increments[key]
 
-    return layout, [p.betting_factor(layout.phases[t], partial(increment, t, p)).values
-                    for t, p in layout.bets]
-
-
-def _phase_tables(
-    sys: ForecastingSystem, strategies: Sequence[LLNStrategyParams]
-) -> Tuple[Tuple[Tuple[Fraction, ...], ...], ...]:
-    """Each strategy's exact factors once per phase of its own period, in
-    ``Trajectory.factors``' format: the rows of :func:`_bet_rows` as the
-    layout numbers them, so every member placing one bet holds its one row."""
-    layout, rows = _bet_rows(_CompiledBattery.of(strategies), sys)
-    return tuple(tuple(rows[b] for b in bets) for bets in layout.members)
+        return [p.betting_factor(self.phases[t], partial(increment, t, p)).values
+                for t, p in self.bets]
 
 
 # floats in the float kernel's block buffer: small enough to stay in cache
@@ -338,12 +305,11 @@ def run_battery_fast(
 
     Restricted to systems and selections with a ``period`` L.  The log2
     capitals of all strategies are one product: the log2s of their exact
-    factors at the L phases by ``Trajectory.factors``' rule (the rows of
-    :func:`_phase_tables`), times the prefix's float cumulative (phase, symbol)
-    counts, so the data enter only through those counts.  The strategies are
-    compiled into a :class:`_CompiledBattery` unless they are one already, and
-    a compiled battery keeps the layout of each system period it meets, so a
-    call with one builds only its forecasts, bet rows and their log2s.  The
+    factors at the L phases by ``Trajectory.factors``' rule, times the
+    prefix's float cumulative (phase, symbol) counts, so the data enter only
+    through those counts.  The strategies are compiled into a
+    :class:`_CompiledBattery` unless they are one for sys's period already, so
+    a call with one builds only its forecasts, bet rows and their log2s.  The
     product is taken over blocks of steps, so memory is O(B * block), not
     O(B * N); a table or count view of more than ``_KERNEL_BUDGET`` cells is
     refused before either is built.
@@ -355,11 +321,12 @@ def run_battery_fast(
     does for arguments below -1022.  Capital paths are floats; use
     :func:`run_battery` when exactness is required.
     """
-    battery = _CompiledBattery.of(strategies)
+    compiled = isinstance(strategies, _CompiledBattery) and strategies.period == sys.period
+    battery = strategies if compiled else _CompiledBattery(strategies, sys.period)
     _check_same_space(prefix, sys)
     _check_same_space(prefix, battery[0].f)
-    layout, rows = _bet_rows(battery, sys)
-    B, L, K, N = len(battery), layout.L, prefix.space.size, len(prefix)
+    rows = battery.rows(sys)
+    B, L, K, N = len(battery), battery.L, prefix.space.size, len(prefix)
     if max(B, N + 1) * L * K > _KERNEL_BUDGET:  # before either is built
         raise ModelInvariantError(
             f"float kernel with B = {B} strategies, joint period L = {L}, K = {K} "
@@ -368,7 +335,7 @@ def run_battery_fast(
         )
     # each bet's row is taken log2 once; the table gathers the members' bets
     logs = np.array([[log2_rational(v) for v in row] for row in rows])
-    tables = logs[layout.index].reshape(B, L * K)
+    tables = logs[battery.index].reshape(B, L * K)
     counts = prefix.phase_counts(L)
     mixture_log2 = np.empty(N + 1)
     # the mixture at a step reads only that step's column, so the steps go in
@@ -488,8 +455,8 @@ def estimate_interval(
     upper), so every capital, and with them the mixture and its running max,
     grows along each sweep.  Acceptance reads a running max of deficiencies,
     which only absorbs float rounding; raw values are kept in the returned
-    grids.  Each side's battery is compiled once (:class:`_CompiledBattery`),
-    so a gamma probe builds only its own forecast, bet rows and their log2s.
+    grids.  Each side's battery is compiled once, for the faces' period 1, so
+    a gamma probe builds only its own forecast, bet rows and their log2s.
     """
     grid_step = as_rational(grid_step)
     if grid_step <= 0:
@@ -515,7 +482,7 @@ def estimate_interval(
         # dilute the mixture weights
         battery = _CompiledBattery(battery_for_gambles(
             (f,), selection_moduli=selection_moduli, directions=(side,)
-        ))
+        ), period=1)
         out: List[GridPoint] = []
         worst = 0.0
         for gamma in points:
@@ -533,10 +500,8 @@ def estimate_interval(
     lower_grid = sweep(grid, "lower")
     upper_grid = sweep(list(reversed(grid)), "upper")
 
-    accepted_lo = [p.gamma for p in lower_grid if p.accepted]
-    accepted_hi = [p.gamma for p in upper_grid if p.accepted]
-    lo_accept = max(accepted_lo) if accepted_lo else lo
-    hi_accept = min(accepted_hi) if accepted_hi else hi
+    lo_accept = max((p.gamma for p in lower_grid if p.accepted), default=lo)
+    hi_accept = min((p.gamma for p in upper_grid if p.accepted), default=hi)
     if lo_accept > hi_accept:
         lo_accept = hi_accept
     return IntervalEstimate(

@@ -92,6 +92,8 @@ class MultiplierProcess(_Memo):
         period: Optional[int] = None,
     ):
         super().__init__(space, fn)
+        if period is not None and (type(period) is not int or period < 1):
+            raise ModelInvariantError(f"period must be None or an integer >= 1, got {period!r}")
         self.period = period
 
     def factor(self, s: Situation) -> Gamble:
@@ -264,6 +266,10 @@ class SelectionProcess:
         return self._rows.get(s.symbols, self.default)
 
 
+def _lln_bound(f: Gamble) -> Fraction:
+    return max(Fraction(1), f.spread())  # B of LLNStrategyParams
+
+
 @dataclass(frozen=True)
 class LLNStrategyParams:
     """Parameters of the running-average betting strategy.
@@ -282,7 +288,7 @@ class LLNStrategyParams:
         object.__setattr__(self, "epsilon", as_rational(self.epsilon))
         if self.direction not in ("lower", "upper"):
             raise ModelInvariantError(f"direction must be lower|upper, got {self.direction!r}")
-        bound = max(Fraction(1), self.f.spread())
+        bound = _lln_bound(self.f)
         object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "xi", self.epsilon / (2 * bound ** 2))
         if not 0 < self.epsilon < bound:

@@ -45,7 +45,7 @@ from imprand import (
     run_battery_fast,
 )
 from imprand import analysis
-from imprand.analysis import AverageReport, _phase_tables
+from imprand.analysis import AverageReport
 from imprand.core import ModelInvariantError, log2_rational
 from imprand.forecasting import iter_situations, joint_period
 from imprand.lowerexp import AnchorGammaModel
@@ -80,6 +80,29 @@ def capitals(member, prefix):
     """The member's capital at every step of the prefix."""
     M = from_multiplier(member)
     return tuple(M.value(prefix.situation(n)) for n in range(len(prefix) + 1))
+
+
+def _phase_tables(sys, strategies):
+    """Each strategy's exact factors once per phase of its own period, in
+    Trajectory.factors' format: the float kernel's bet rows as its compiled
+    battery numbers them, so every member placing one bet holds its one row."""
+    battery = analysis._CompiledBattery(strategies, sys.period)
+    rows = battery.rows(sys)
+    return tuple(tuple(rows[b] for b in bets) for bets in battery.members)
+
+
+def _count_compilations(monkeypatch):
+    """Each battery compiled from here on, as the set of its strategies'
+    directions; a subclass counts, so the kernel's isinstance check still holds."""
+    compiled = []
+
+    class Counting(analysis._CompiledBattery):
+        def __new__(cls, strategies, period):
+            compiled.append({p.direction for p in strategies})
+            return super().__new__(cls, strategies, period)
+
+    monkeypatch.setattr(analysis, "_CompiledBattery", Counting)
+    return compiled
 
 
 def per_step(t):
@@ -510,12 +533,12 @@ class TestFastPath:
         fast = run_battery_fast(prefix, sys, params)
         own = [row for r in walk.factors for row in r]
         first = np.cumsum([0] + [len(r) for r in walk.factors[:-1]]).tolist()
-        layout = analysis._Layout((), (), [tuple(range(a, a + len(r)))
-                                           for a, r in zip(first, walk.factors)])
-        layout.index = np.array([[a + t % len(r) for t in range(6)]
-                                 for a, r in zip(first, walk.factors)])
-        monkeypatch.setattr(analysis, "_bet_rows", lambda *_: (layout, own))
-        again = run_battery_fast(prefix, sys, params)
+        compiled = analysis._CompiledBattery(params, sys.period)
+        assert compiled.L == 6
+        compiled.index = np.array([[a + t % len(r) for t in range(6)]
+                                   for a, r in zip(first, walk.factors)])
+        monkeypatch.setattr(analysis._CompiledBattery, "rows", lambda self, sys: own)
+        again = run_battery_fast(prefix, sys, compiled)
         assert again.mixture_log2.tobytes() == fast.mixture_log2.tobytes()
 
     def test_members_placing_one_bet_share_its_row(self, space3, envelope3, anchor_sys,
@@ -552,42 +575,43 @@ class TestFastPath:
         prefix = SequencePrefix(space3, (0, 1, 2) * 20)
         expected = run_battery_fast(prefix, sys, params).mixture_log2
         assert sum(map(len, _phase_tables(sys, params))) == 20
-        # the next grid point, on the side's compiled battery, laid out by the first
+        # the next grid point, on the side's battery compiled and indexed by the first
         other = StationarySystem(AnchorGammaModel(anchor=f_example, gamma=Fraction(5, 16)))
         expected_other = run_battery_fast(prefix, other, params).mixture_log2
-        compiled = analysis._CompiledBattery(params)
+        built, logs, laid = [], [], _count_compilations(monkeypatch)
+        compiled = analysis._CompiledBattery(params, sys.period)
         run_battery_fast(prefix, sys, compiled)
-        built, logs, laid = [], [], []
-        build, log2, Layout = (LLNStrategyParams.betting_factor, analysis.log2_rational,
-                               analysis._Layout)
+        build, log2 = LLNStrategyParams.betting_factor, analysis.log2_rational
         monkeypatch.setattr(LLNStrategyParams, "betting_factor",
                             lambda p, *a: built.append(p) or build(p, *a))
         monkeypatch.setattr(analysis, "log2_rational", lambda v: logs.append(v) or log2(v))
-        monkeypatch.setattr(analysis, "_Layout", lambda *a: laid.append(a) or Layout(*a))
+        del laid[:]
         fast = run_battery_fast(prefix, sys, params)
         assert (len(built), len(logs), len(laid)) == (5, 15, 1)
         assert fast.mixture_log2.tobytes() == expected.tobytes()
-        # a second probe builds its own 5 rows and 15 log2s, and no layout
+        # a second probe builds its own 5 rows and 15 log2s, and compiles nothing
         del built[:], logs[:], laid[:]
         again = run_battery_fast(prefix, other, compiled)
         assert (len(built), len(logs), len(laid)) == (5, 15, 0)
         assert again.mixture_log2.tobytes() == expected_other.tobytes()
 
-    def test_a_compiled_battery_keeps_one_layout_per_system_period(self, space3, envelope3,
-                                                                  anchor_sys, f_example):
+    def test_a_battery_compiled_for_one_period_is_recompiled_for_another(
+            self, space3, envelope3, anchor_sys, f_example, monkeypatch):
         # stake, selection and bet numbers all depend on the system period: a
-        # battery that kept one layout for both systems would place period-1 bets
-        # against the period-2 system
+        # kernel that read a period-1 compilation against the period-2 system
+        # would place period-1 bets there
         params = battery_for_gambles((Gamble.indicator(space3, "A"), f_example),
                                      selection_moduli=(1, 2, 3))
-        compiled = analysis._CompiledBattery(params)
+        laid = _count_compilations(monkeypatch)
+        compiled = analysis._CompiledBattery(params, 1)
         prefix = generate(GeneratorSpec.cyclic(envelope3.vertices, 300, seed=4))
         period2 = CyclicSystem((envelope3, anchor_sys.model))
-        for sys in (anchor_sys, period2, anchor_sys):
+        for sys, fresh in ((anchor_sys, 0), (period2, 1), (anchor_sys, 0)):
+            del laid[:]
             got = run_battery_fast(prefix, sys, compiled)
+            assert len(laid) == fresh
             want = run_battery_fast(prefix, sys, list(params))
             assert got.mixture_log2.tobytes() == want.mixture_log2.tobytes()
-        assert sorted(compiled.layouts) == [1, 2]
 
     def test_phases_reach_only_the_longest_member_period(self, space3, anchor_sys, f_example,
                                                           monkeypatch):
@@ -899,10 +923,8 @@ class TestEstimateInterval:
 
     def test_each_side_lays_out_its_battery_once(self, period2_prefix, f_example,
                                                  monkeypatch):
-        # the layouts built, each named by the direction of the bets it places
-        laid, Layout = [], analysis._Layout
-        monkeypatch.setattr(analysis, "_Layout", lambda phases, bets, members: laid.append(
-            {p.direction for _, p in bets}) or Layout(phases, bets, members))
+        # the batteries compiled, each named by the directions of its strategies
+        laid = _count_compilations(monkeypatch)
         est = estimate_interval(period2_prefix, f_example, selection_moduli=(1, 2))
         for grid in (est.lower_grid, est.upper_grid):
             assert sum(p.raw_bits != math.inf for p in grid) > 1

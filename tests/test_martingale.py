@@ -122,6 +122,17 @@ class TestFromMultiplier:
         with pytest.raises(ModelInvariantError):
             from_multiplier(D).value(Situation(space3, (0,)))
 
+    def test_period_must_be_none_or_a_positive_integer(self, space3):
+        # a period of 0 or below once died walking (integer modulo by zero), and
+        # 2.5 with a TypeError; each is refused where the process is built
+        one = Gamble.constant(space3, 1)
+        for bad in (0, -2, 2.5, "2", True):
+            with pytest.raises(ModelInvariantError,
+                               match=re.escape(f"integer >= 1, got {bad!r}")):
+                MultiplierProcess(space3, lambda s: one, period=bad)
+        for good in (None, 1, 3):
+            assert MultiplierProcess(space3, lambda s: one, period=good).period == good
+
     def test_bounded_multiplier_gives_test_supermartingale(self):
         rng = random.Random(32)
         for _ in range(10):
